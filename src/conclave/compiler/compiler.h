@@ -48,8 +48,8 @@ struct CompilerOptions {
   bool auto_backend = false;
   CostModel planning_cost_model;
   // Fill Compilation::cost_report with the per-node plan-cost breakdown (the explain
-  // API) even when auto_backend is off. Off by default: pricing a plan walks exact
-  // Batcher network shapes, which is wasted work for fixed-backend production runs.
+  // API) even when auto_backend is off. Off by default: pricing a plan is wasted
+  // work for fixed-backend production runs.
   bool explain_plan = false;
   // Cardinality knobs feeding the plan-cost estimate (selectivities, default rows).
   CardinalityOptions planning_cardinality;

@@ -27,11 +27,11 @@ int64_t ToRows(double estimate) {
   return estimate <= 0 ? 0 : std::llround(std::min(estimate, 0x1p62));
 }
 
-// Exact Batcher shapes are walked in O(n log n) plan time and counted in uint64.
-// Above this cap (2M rows) fall back to the continuous n/4·ceil(log2 n)² form in
+// Exact Batcher shapes are counted in closed form (O(log² n)) in uint64. Above
+// this cap (2M rows) fall back to the continuous n/4·ceil(log2 n)² form in
 // doubles: the relative error is negligible there (exactness matters at small and
-// non-power-of-two n), the walk stays bounded for absurd cardinality estimates,
-// and nothing overflows.
+// non-power-of-two n), and the uint64 counts cannot overflow on absurd
+// cardinality estimates.
 constexpr int64_t kMaxExactShapeRows = int64_t{1} << 21;
 
 // Double-valued network shape: huge estimated relations produce exchange counts
@@ -195,21 +195,14 @@ class SsCoster {
     return BatcherNetwork(SortShape(n), cols, keys);
   }
 
-  const NetworkShape& SortShape(int64_t n) const {
-    auto it = sort_shapes_.find(n);
-    if (it == sort_shapes_.end()) {
-      NetworkShape shape;
-      if (n <= kMaxExactShapeRows) {
-        const gc::BatcherNetworkShape exact =
-            gc::BatcherSortShape(static_cast<uint64_t>(n));
-        shape.exchanges = static_cast<double>(exact.exchanges);
-        shape.layers = static_cast<double>(exact.layers);
-      } else {
-        shape = ApproxSortShape(n);
-      }
-      it = sort_shapes_.emplace(n, shape).first;
+  NetworkShape SortShape(int64_t n) const {
+    if (n <= kMaxExactShapeRows) {
+      const gc::BatcherNetworkShape exact =
+          gc::BatcherSortShape(static_cast<uint64_t>(n));
+      return {static_cast<double>(exact.exchanges),
+              static_cast<double>(exact.layers)};
     }
-    return it->second;
+    return ApproxSortShape(n);
   }
 
   NetworkShape MergeShape(int64_t run, int64_t total) const {
@@ -242,7 +235,6 @@ class SsCoster {
  private:
   const CostModel& model_;
   int num_parties_;
-  mutable std::unordered_map<int64_t, NetworkShape> sort_shapes_;
 };
 
 size_t JoinKeyCount(const ir::OpNode& node) {
@@ -547,19 +539,6 @@ void GcCharge(const CostModel& model, const gc::GcOpCost& cost, const char* what
                      model.SecondsForRounds(2);
 }
 
-// True when a sort-bearing GC operator is already infeasible from the sort phase's
-// live labels alone (2x the relation resident, the floor of every SortCost-derived
-// total) — the verdict GcCharge would reach anyway, checked before the O(n log n)
-// exchange walk so pricing a large plan never pays for doomed gate counts.
-bool GcSortObviouslyOom(const CostModel& model, uint64_t rows, uint64_t cols,
-                        const char* what, OpAccount& account) {
-  if (2 * gc::LiveBytesForCells(model, rows, cols) > model.gc_memory_limit_bytes) {
-    account.Infeasible(StrFormat("GC OOM (%s)", what));
-    return true;
-  }
-  return false;
-}
-
 BackendOpCost GcOpCostOf(const CostModel& model, const ir::OpNode& node,
                          const std::unordered_map<int, double>& rows,
                          const IngestList& ingests, int num_parties) {
@@ -589,8 +568,8 @@ BackendOpCost GcOpCostOf(const CostModel& model, const ir::OpNode& node,
   // Cap rows before the analytic gate formulas: every GC operator is memory-
   // infeasible far below this cap (live labels alone at 2M rows x 1 column are
   // ~25x the 4 GB VM), so capping cannot flip a feasibility verdict — while it
-  // bounds the exact Batcher walks and keeps the uint64 pair/gate arithmetic
-  // from overflowing on absurd cardinality estimates.
+  // keeps the uint64 exchange/pair/gate arithmetic from overflowing on absurd
+  // cardinality estimates.
   const auto cap = [](int64_t value) {
     return static_cast<uint64_t>(std::min(value, kMaxExactShapeRows));
   };
@@ -624,10 +603,6 @@ BackendOpCost GcOpCostOf(const CostModel& model, const ir::OpNode& node,
       break;
     case ir::OpKind::kAggregate: {
       const auto& params = node.Params<ir::AggregateParams>();
-      if (!node.assume_sorted &&
-          GcSortObviouslyOom(model, n, in_cols, "aggregate", account)) {
-        break;
-      }
       GcCharge(model,
                gc::AggregateCost(
                    model, n, in_cols,
@@ -637,10 +612,6 @@ BackendOpCost GcOpCostOf(const CostModel& model, const ir::OpNode& node,
       break;
     }
     case ir::OpKind::kWindow:
-      if (!node.assume_sorted &&
-          GcSortObviouslyOom(model, n, in_cols, "window", account)) {
-        break;
-      }
       GcCharge(model,
                gc::WindowCost(model, n, in_cols,
                               node.Params<ir::WindowParams>()
@@ -650,9 +621,6 @@ BackendOpCost GcOpCostOf(const CostModel& model, const ir::OpNode& node,
       break;
     case ir::OpKind::kSortBy:
       if (!node.assume_sorted) {
-        if (GcSortObviouslyOom(model, n, in_cols, "sort", account)) {
-          break;
-        }
         GcCharge(model,
                  gc::SortCost(model, n, in_cols,
                               node.Params<ir::SortByParams>().columns.size()),
@@ -661,10 +629,6 @@ BackendOpCost GcOpCostOf(const CostModel& model, const ir::OpNode& node,
       break;
     case ir::OpKind::kDistinct: {
       const uint64_t keys = node.Params<ir::DistinctParams>().columns.size();
-      if (!node.assume_sorted &&
-          GcSortObviouslyOom(model, n, keys, "distinct", account)) {
-        break;
-      }
       gc::GcOpCost cost;
       if (!node.assume_sorted) {
         cost += gc::SortCost(model, n, keys, keys);
@@ -677,9 +641,7 @@ BackendOpCost GcOpCostOf(const CostModel& model, const ir::OpNode& node,
       GcCharge(model, gc::LinearPassCost(model, out, out_cols, out_cols, 0),
                "concat", account);
       const auto& params = node.Params<ir::ConcatParams>();
-      if (!params.merge_columns.empty() &&
-          !GcSortObviouslyOom(model, out, out_cols, "merge-concat sort",
-                              account)) {
+      if (!params.merge_columns.empty()) {
         // The GC backend sorts the concatenated relation (no merge network).
         GcCharge(model,
                  gc::SortCost(model, out, out_cols,

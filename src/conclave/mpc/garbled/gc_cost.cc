@@ -48,20 +48,32 @@ uint64_t BlockExchanges(int64_t p, int64_t k, int64_t j, int64_t limit) {
          CountModLessPrefix(j, 2 * p, 2 * p - k);
 }
 
-uint64_t MergePassShape(int64_t p, int64_t n, BatcherNetworkShape& shape) {
-  uint64_t pass_exchanges = 0;
+// Comparators of one (p, k) layer over n wires. Its blocks start at j = j0 + 2k·t
+// (j0 = k mod p), and every j is a multiple of k, so a full block (limit k) covers
+// one aligned k-slice of the 2p period: it emits all k comparators unless
+// j mod 2p == 2p - k, where it emits none. For k < p that happens at the last block
+// of every run of p / k; for k == p (j0 = 0) never. At most one trailing block is
+// partial, and BlockExchanges counts it directly.
+uint64_t LayerExchanges(int64_t p, int64_t k, int64_t n) {
+  const int64_t j0 = k % p;
+  const int64_t full = (n - j0) / (2 * k);  // Blocks with j + 2k <= n.
+  const int64_t empty = k < p ? full / (p / k) : 0;
+  uint64_t exchanges = static_cast<uint64_t>((full - empty) * k);
+  const int64_t tail = j0 + 2 * k * full;
+  if (tail + k < n) {
+    exchanges += BlockExchanges(p, k, tail, n - tail - k);
+  }
+  return exchanges;
+}
+
+void MergePassShape(int64_t p, int64_t n, BatcherNetworkShape& shape) {
   for (int64_t k = p; k >= 1; k >>= 1) {
-    uint64_t layer = 0;
-    for (int64_t j = k % p; j + k < n; j += 2 * k) {
-      layer += BlockExchanges(p, k, j, std::min(k, n - j - k));
-    }
+    const uint64_t layer = LayerExchanges(p, k, n);
     if (layer > 0) {
       shape.exchanges += layer;
       ++shape.layers;
-      pass_exchanges += layer;
     }
   }
-  return pass_exchanges;
 }
 
 }  // namespace

@@ -52,8 +52,9 @@ GcOpCost JoinCost(const CostModel& model, uint64_t left_rows, uint64_t right_row
 // Exact shape of a generalized Batcher network: total compare-exchanges (the gate
 // and comparison count) and non-empty layers (the round count — one batched layer is
 // one round group). Matches BatcherSortLayers / BatcherMergeLayers in mpc/oblivious.cc
-// comparator for comparator (tests assert this), but computed in closed form per
-// (p, k, j) block, so costing a million-row sort never materializes the network.
+// comparator for comparator (tests assert this), but counted in closed form per
+// (p, k) layer, O(log² n), so costing a million-row sort neither materializes nor
+// walks the network.
 struct BatcherNetworkShape {
   uint64_t exchanges = 0;
   uint64_t layers = 0;

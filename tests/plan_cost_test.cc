@@ -1,5 +1,6 @@
 // Tests for the shared plan-cost subsystem (compiler/plan_cost.h): the closed-form
-// Batcher network shapes match the materialized networks, per-node estimates match
+// Batcher network shapes match the materialized networks and the per-block
+// reference walk (batcher_walk_reference.h), per-node estimates match
 // the dispatcher's metered virtual seconds when cardinalities are exact, and — the
 // chooser's contract — for every figure-bench query shape, the explain output picks
 // the backend whose *measured* virtual seconds are minimal.
@@ -8,6 +9,7 @@
 #include <cmath>
 #include <limits>
 #include <map>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -18,6 +20,7 @@
 #include "conclave/data/generators.h"
 #include "conclave/mpc/garbled/gc_cost.h"
 #include "conclave/mpc/oblivious.h"
+#include "batcher_walk_reference.h"
 
 namespace conclave {
 namespace compiler {
@@ -56,6 +59,50 @@ TEST(BatcherShapeTest, MergeShapeMatchesMaterializedLayers) {
         static_cast<uint64_t>(run), static_cast<uint64_t>(total));
     EXPECT_EQ(shape.exchanges, exchanges) << run << "/" << total;
     EXPECT_EQ(shape.layers, layers.size()) << run << "/" << total;
+  }
+}
+
+TEST(BatcherShapeTest, SortShapeMatchesReferenceWalkUpTo4096) {
+  for (uint64_t n = 0; n <= 4096; ++n) {
+    const gc::BatcherNetworkShape shape = gc::BatcherSortShape(n);
+    const gc::BatcherNetworkShape walk = batcherwalk::SortShape(n);
+    ASSERT_EQ(shape.exchanges, walk.exchanges) << "n=" << n;
+    ASSERT_EQ(shape.layers, walk.layers) << "n=" << n;
+  }
+}
+
+TEST(BatcherShapeTest, MergeShapeMatchesReferenceWalk) {
+  for (uint64_t run = 1; run <= 4096; run *= 2) {
+    for (uint64_t total = run; total <= 2 * run; ++total) {
+      const gc::BatcherNetworkShape shape = gc::BatcherMergeShape(run, total);
+      const gc::BatcherNetworkShape walk = batcherwalk::MergeShape(run, total);
+      ASSERT_EQ(shape.exchanges, walk.exchanges) << run << "/" << total;
+      ASSERT_EQ(shape.layers, walk.layers) << run << "/" << total;
+    }
+  }
+}
+
+TEST(BatcherShapeTest, SortShapeMatchesReferenceWalkAtSeededSizes) {
+  std::mt19937_64 rng(20190325);
+  std::uniform_int_distribution<uint64_t> size(4097, uint64_t{1} << 18);
+  for (int i = 0; i < 8; ++i) {
+    const uint64_t n = size(rng);
+    const gc::BatcherNetworkShape shape = gc::BatcherSortShape(n);
+    const gc::BatcherNetworkShape walk = batcherwalk::SortShape(n);
+    EXPECT_EQ(shape.exchanges, walk.exchanges) << "n=" << n;
+    EXPECT_EQ(shape.layers, walk.layers) << "n=" << n;
+  }
+}
+
+// At n = 2^m the network is Batcher's odd-even merge sort: (m² - m + 4)·2^(m-2) - 1
+// compare-exchanges in m(m+1)/2 layers. Pins sizes the reference walk cannot reach
+// in test time.
+TEST(BatcherShapeTest, PowerOfTwoSortShapeMatchesOddEvenMergeSortCounts) {
+  for (uint64_t m = 1; m <= 40; ++m) {
+    const gc::BatcherNetworkShape shape = gc::BatcherSortShape(uint64_t{1} << m);
+    EXPECT_EQ(shape.exchanges, (m * m - m + 4) * (uint64_t{1} << m) / 4 - 1)
+        << "m=" << m;
+    EXPECT_EQ(shape.layers, m * (m + 1) / 2) << "m=" << m;
   }
 }
 
