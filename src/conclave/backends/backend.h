@@ -60,13 +60,6 @@ struct MaterializedValue {
   // kRevealSource (shared with in-flight tasks).
   std::shared_ptr<mpc::RevealSource> reveal;
 
-  // Retired-concat phantom ingest (DESIGN.md §14): the value was "shared" by a
-  // pruned dead MPC node — every ingest/consistency meter was charged, but the
-  // payload stays cleartext (kCleartext / kShardedClear). A later cleartext
-  // consumer charges the reveal boundary exactly as if the shares existed; a
-  // later real MPC consumer shares for real without re-charging.
-  bool phantom_shared = false;
-
   // One lazily-built split per (value, shard_count): N sharded consumers of a
   // revealed value reuse this instead of each cutting a task-owned copy
   // (coordinator-built, then only read by tasks).

@@ -222,6 +222,56 @@ TEST(PushDownTest, CardinalityLeakGateBlocksGroupedSplit) {
   EXPECT_EQ(local_aggs, 0);
 }
 
+// Every node a plan executes has a consumer, except the Collects that end it.
+void ExpectNoConsumerlessNodes(const Dag& dag) {
+  for (const OpNode* node : dag.TopoOrder()) {
+    if (node->kind != OpKind::kCollect) {
+      EXPECT_FALSE(node->outputs.empty()) << node->ToString();
+    }
+  }
+}
+
+// A rewrite that moves work below a concat strands the old concat; it must leave
+// the plan, not stay in topo order with no consumers.
+TEST(PushDownTest, RewritesLeaveNoConsumerlessNodes) {
+  {
+    // Distributive op moved below a cross-party concat (the grouped split is
+    // gated off, so this is the only rewrite).
+    MarketQuery q;
+    PropagateOwnership(q.dag);
+    const auto log = PushDown(q.dag, /*allow_cardinality_leak=*/false);
+    ASSERT_EQ(log.size(), 1u);
+    ExpectNoConsumerlessNodes(q.dag);
+  }
+  {
+    // Aggregate split into local partials plus an MPC combine, directly over the
+    // cross-party concat.
+    Dag dag;
+    Schema schema = Schema::Of({"k", "v"});
+    OpNode* a = *dag.AddCreate("a", schema, 0);
+    OpNode* b = *dag.AddCreate("b", schema, 1);
+    OpNode* concat = *dag.AddConcat({a, b});
+    ir::AggregateParams agg;
+    agg.kind = AggKind::kSum;
+    agg.agg_column = "v";
+    agg.output_name = "total";
+    OpNode* total = *dag.AddAggregate(concat, agg);
+    ASSERT_TRUE(dag.AddCollect(total, "out", PartySet::Of({0})).ok());
+    PropagateOwnership(dag);
+    const auto log = PushDown(dag, /*allow_cardinality_leak=*/false);
+    ASSERT_EQ(log.size(), 1u);
+    ExpectNoConsumerlessNodes(dag);
+  }
+  {
+    // Both shapes in one plan: filter push-down, then the grouped split.
+    MarketQuery q;
+    PropagateOwnership(q.dag);
+    const auto log = PushDown(q.dag, /*allow_cardinality_leak=*/true);
+    ASSERT_EQ(log.size(), 2u);
+    ExpectNoConsumerlessNodes(q.dag);
+  }
+}
+
 TEST(PushDownTest, JoinDoesNotDistribute) {
   CreditQuery q;
   PropagateOwnership(q.dag);

@@ -1,7 +1,7 @@
 // Dispatcher-level tests: failure injection (simulated OOM on both MPC backends),
 // cleartext-backend selection, critical-path scheduling of parallel local jobs,
-// retired-node phantom execution, split caching, and the composition of all
-// extension features in one run.
+// push-down plans running like their hand-written equivalents, split caching,
+// and the composition of all extension features in one run.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -215,49 +215,85 @@ TEST(DispatcherTest, AllExtensionsComposeInOneRun) {
   }
 }
 
-// Regression for the dead concat that push-down used to leave running: moving a
-// distributive op below a cross-party concat strands the old concat with zero
-// consumers, yet it still executed as an MPC node — sharing its full create
-// inputs into the VM for nothing. It now runs as a phantom (identical meter
-// charges, no sharing, no working-set check), so a VM limit far below the raw
-// create sizes no longer aborts the run. Under the old behavior this query
-// returns kResourceExhausted; the limit is sized so the test fails if the
-// retired node ever shares its inputs again.
-TEST(DispatcherTest, RetiredConcatNoLongerSharesItsInputs) {
-  auto run = [](const CostModel& model) {
-    Query query;
-    Party regulator = query.AddParty("regulator");
-    Party bank1 = query.AddParty("bank1");
-    Party bank2 = query.AddParty("bank2");
-    Table s1 = query.NewTable("s1", {{"k"}, {"v"}}, bank1);
-    Table s2 = query.NewTable("s2", {{"k"}, {"v"}}, bank2);
-    // Selective filter: push-down runs it per branch at each bank, so only a
-    // handful of rows ever cross into the MPC.
-    query.Concat({s1, s2})
-        .Filter("v", CompareOp::kLt, 5)
-        .Aggregate("total", AggKind::kSum, {"k"}, "v")
-        .WriteToCsv("out", {regulator});
-    std::map<std::string, Relation> inputs;
-    inputs["s1"] = data::UniformInts(3000, {"k", "v"}, 1000, /*seed=*/81);
-    inputs["s2"] = data::UniformInts(3000, {"k", "v"}, 1000, /*seed=*/82);
-    return query.Run(inputs, {}, model);
-  };
+// One executed plan, with its per-node virtual seconds keyed by topo position
+// and op (node ids differ between equivalent plans built in different orders).
+struct ExecutedPlan {
+  backends::ExecutionResult result;
+  std::vector<std::pair<std::string, double>> node_seconds;
+};
 
-  const auto generous = run(CostModel{});
-  ASSERT_TRUE(generous.ok()) << generous.status().ToString();
-  ASSERT_GT(generous->outputs.at("out").NumRows(), 0);
+// Two banks' (k, v) tables; a selective filter, then a grouped sum for the
+// regulator. `push_down` states the query the way push-down starts from (filter
+// over the cross-party concat); otherwise it is the plan push-down should arrive
+// at, written by hand: filter at each bank, then concat, then aggregate.
+StatusOr<ExecutedPlan> RunBankFilterSum(bool push_down, const CostModel& model,
+                                        const compiler::CompilerOptions& options) {
+  Query query;
+  Party regulator = query.AddParty("regulator");
+  Party bank1 = query.AddParty("bank1");
+  Party bank2 = query.AddParty("bank2");
+  Table s1 = query.NewTable("s1", {{"k"}, {"v"}}, bank1);
+  Table s2 = query.NewTable("s2", {{"k"}, {"v"}}, bank2);
+  Table filtered =
+      push_down ? query.Concat({s1, s2}).Filter("v", CompareOp::kLt, 5)
+                : query.Concat({s1.Filter("v", CompareOp::kLt, 5),
+                                s2.Filter("v", CompareOp::kLt, 5)});
+  filtered.Aggregate("total", AggKind::kSum, {"k"}, "v")
+      .WriteToCsv("out", {regulator});
+  std::map<std::string, Relation> inputs;
+  inputs["s1"] = data::UniformInts(3000, {"k", "v"}, 1000, /*seed=*/81);
+  inputs["s2"] = data::UniformInts(3000, {"k", "v"}, 1000, /*seed=*/82);
+  CONCLAVE_ASSIGN_OR_RETURN(backends::ExecutionResult result,
+                            query.Run(inputs, options, model));
+  ExecutedPlan plan;
+  for (const ir::OpNode* node : query.dag().TopoOrder()) {
+    plan.node_seconds.emplace_back(ir::OpKindName(node->kind),
+                                   result.node_seconds.at(node->id));
+  }
+  EXPECT_EQ(plan.node_seconds.size(), result.node_seconds.size());
+  plan.result = std::move(result);
+  return plan;
+}
 
+void ExpectSameRun(const ExecutedPlan& a, const ExecutedPlan& b) {
+  EXPECT_TRUE(a.result.outputs.at("out").RowsEqual(b.result.outputs.at("out")));
+  EXPECT_EQ(a.result.virtual_seconds, b.result.virtual_seconds);
+  EXPECT_EQ(a.node_seconds, b.node_seconds);
+}
+
+// Push-down moves the filter below the cross-party concat and detaches the concat
+// it strands. What runs is then exactly the hand-written per-bank plan: same
+// outputs, same clock, node for node — nothing is charged for the dropped concat.
+TEST(DispatcherTest, PushDownRunsLikeTheHandWrittenPlan) {
+  const auto pushed = RunBankFilterSum(true, CostModel{}, {});
+  ASSERT_TRUE(pushed.ok()) << pushed.status().ToString();
+  ASSERT_GT(pushed->result.outputs.at("out").NumRows(), 0);
+  const auto by_hand = RunBankFilterSum(false, CostModel{}, {});
+  ASSERT_TRUE(by_hand.ok()) << by_hand.status().ToString();
+  ExpectSameRun(*pushed, *by_hand);
+
+  // A VM limit far below the 2 x 6000-cell (~4 MB resident) working set of the
+  // raw creates, far above what the few filtered rows need (~80 KB): nothing
+  // shares the creates, so the run neither aborts nor changes.
   CostModel tight;
-  // Far below the 2 x 6000-cell (~4 MB resident) working set the dead concat
-  // used to share, far above what the few filtered rows need (~80 KB).
   tight.ss_memory_limit_bytes = 1 << 20;
-  const auto bounded = run(tight);
+  const auto bounded = RunBankFilterSum(true, tight, {});
   ASSERT_TRUE(bounded.ok()) << bounded.status().ToString();
-  // The phantom's compatibility charges keep the clock identical to a run that
-  // never hits the limit.
-  EXPECT_TRUE(bounded->outputs.at("out").RowsEqual(generous->outputs.at("out")));
-  EXPECT_EQ(bounded->virtual_seconds, generous->virtual_seconds);
-  EXPECT_EQ(bounded->node_seconds, generous->node_seconds);
+  ExpectSameRun(*bounded, *pushed);
+
+  // Malicious security: fewer relations enter the MPC, so the consistency-phase
+  // nonce sequence is shorter. That may change share bits, never the revealed
+  // rows; and both plan shapes still run identically.
+  compiler::CompilerOptions malicious;
+  malicious.malicious_security = true;
+  const auto pushed_malicious = RunBankFilterSum(true, CostModel{}, malicious);
+  ASSERT_TRUE(pushed_malicious.ok()) << pushed_malicious.status().ToString();
+  EXPECT_TRUE(pushed_malicious->result.outputs.at("out").RowsEqual(
+      pushed->result.outputs.at("out")));
+  EXPECT_GT(pushed_malicious->result.counters.zk_proofs, 0u);
+  const auto by_hand_malicious = RunBankFilterSum(false, CostModel{}, malicious);
+  ASSERT_TRUE(by_hand_malicious.ok()) << by_hand_malicious.status().ToString();
+  ExpectSameRun(*pushed_malicious, *by_hand_malicious);
 }
 
 // N sharded consumers of one cleartext value used to take one task-owned
