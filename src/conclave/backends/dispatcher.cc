@@ -705,9 +705,9 @@ JobGraphExecutor::AcquiredInputs JobGraphExecutor::AcquireLocalInputs(
       auto source = std::make_shared<mpc::RevealSource>(std::move(value.shared));
       value.shared = SharedRelation{};
       if (state_.fault != nullptr) {
-        // The injector makes the same decisions and charges as the inline
-        // DeliverReveal; detection replays inside RevealSource on the batch
-        // covering each corrupted row.
+        // The same decisions and charges DeliverReveal takes; detection
+        // replays inside RevealSource on the batch covering each corrupted
+        // row.
         uint64_t nonce = 0;
         std::vector<FaultInjector::RevealCorruption> schedule =
             state_.fault->DeliverRevealStreamed(rows, cols, &nonce);
@@ -890,52 +890,12 @@ void JobGraphExecutor::DispatchChain(NodeExec& exec) {
   const int my_topo = TopoIndexOf(exec.node->id);
   const int64_t batch_rows = state_.batch_rows;
 
-  if (!sharded) {
-    pool_.Submit([this, my_topo, batch_rows, spec, csv = acquired.csv,
-                  reveal = acquired.reveal, rels = std::move(acquired.rels),
-                  cached_splits = std::move(acquired.cached_splits)] {
-      Completion completion;
-      completion.topo_index = my_topo;
-      try {
-        BatchPipeline pipeline(*spec);
-        if (csv != nullptr) {
-          // Streaming source (DESIGN.md §12): parse-and-push batch-at-a-time;
-          // the source relation never materializes.
-          StatusOr<Relation> out =
-              pipeline.RunFromCsv(*csv, 0, csv->NumRows(), batch_rows);
-          if (out.ok()) {
-            completion.output = std::move(*out);
-            completion.chain_op_rows = pipeline.stats().op_input_rows;
-          } else {
-            completion.status = out.status();
-          }
-        } else if (reveal != nullptr) {
-          // Streaming reveal (DESIGN.md §14): reconstruct-and-push
-          // batch-at-a-time; the revealed relation never materializes.
-          completion.output =
-              pipeline.RunFromReveal(*reveal, 0, reveal->NumRows(), batch_rows);
-          completion.chain_op_rows = pipeline.stats().op_input_rows;
-        } else {
-          completion.output = pipeline.Run(*rels[0], batch_rows);
-          completion.chain_op_rows = pipeline.stats().op_input_rows;
-        }
-      } catch (const std::exception& e) {
-        // See DispatchCreate: escaping exceptions must not reach WorkerLoop.
-        completion.status =
-            InternalError(StrFormat("fused chain task threw: %s", e.what()));
-      }
-      std::lock_guard<std::mutex> lock(completions_mu_);
-      completions_.push_back(std::move(completion));
-      completions_cv_.notify_all();
-    });
-    return;
-  }
-
-  // Sharded: one pipeline task per shard (sharded chains hold only per-row ops,
-  // which commute with sharding), all writing shard-indexed slots of a shared
-  // state. Whichever task finishes last assembles the output, sums the per-op
-  // row counts, and posts the single completion — everything folds in shard
-  // order, so the result is independent of task finishing order.
+  // One pipeline task per source range, all writing range-indexed slots of a
+  // shared state: a single range unsharded, one per shard when sharded (sharded
+  // chains hold only per-row ops, which commute with sharding). Whichever task
+  // finishes last assembles the output, sums the per-op row counts, and posts
+  // the single completion — everything folds in range order, so the result is
+  // independent of task finishing order.
   struct ChainShardState {
     Schema output_schema;
     std::vector<Relation> outputs;
@@ -945,8 +905,9 @@ void JobGraphExecutor::DispatchChain(NodeExec& exec) {
   };
   const bool streamed = acquired.csv != nullptr || acquired.reveal != nullptr;
   const std::vector<const Relation*> shards =
-      streamed ? std::vector<const Relation*>{}
-               : std::move(acquired.shard_rels[0]);
+      streamed  ? std::vector<const Relation*>{}
+      : sharded ? std::move(acquired.shard_rels[0])
+                : std::vector<const Relation*>{acquired.rels[0]};
   // A 0-row streamed reveal mirrors the materializing path's single-shard
   // layout for empty revealed values ({&value.clear}); CSV sources always cut
   // shard_count ranges, like the sharded eager parse.
@@ -958,7 +919,7 @@ void JobGraphExecutor::DispatchChain(NodeExec& exec) {
   // A fused tail limit keeps each shard's local `count`-prefix — a superset of
   // that shard's slice of the global prefix (shards concatenate in canonical
   // order). The last finisher trims the assembled shards to the global prefix,
-  // reproducing ops::ShardedLimit's layout exactly.
+  // reproducing ops::ShardedLimit's layout exactly (a no-op for one range).
   int64_t tail_limit = -1;
   {
     const ir::OpNode& tail =
@@ -976,45 +937,45 @@ void JobGraphExecutor::DispatchChain(NodeExec& exec) {
   for (int s = 0; s < num_shards; ++s) {
     const Relation* shard = streamed ? nullptr : shards[static_cast<size_t>(s)];
     pool_.Submit([this, my_topo, batch_rows, spec, shared, shard, s, num_shards,
-                  tail_limit, csv = acquired.csv, reveal = acquired.reveal,
+                  tail_limit, sharded, csv = acquired.csv,
+                  reveal = acquired.reveal,
                   cached_splits = acquired.cached_splits] {
       try {
         BatchPipeline pipeline(*spec);
         if (csv != nullptr) {
-          // Streaming source, shard slice [rows*s/n, rows*(s+1)/n) — the same
-          // contiguous boundaries SplitEven materializes.
+          // Streaming source (DESIGN.md §12), range [rows*s/n, rows*(s+1)/n)
+          // — the same contiguous boundaries SplitEven materializes. Batches
+          // are parsed and pushed one at a time; the source never
+          // materializes.
           const int64_t rows = csv->NumRows();
           StatusOr<Relation> out = pipeline.RunFromCsv(
               *csv, rows * s / num_shards, rows * (s + 1) / num_shards,
               batch_rows);
           if (out.ok()) {
             shared->outputs[static_cast<size_t>(s)] = std::move(*out);
-            shared->op_rows[static_cast<size_t>(s)] =
-                pipeline.stats().op_input_rows;
           } else {
             shared->statuses[static_cast<size_t>(s)] = out.status();
           }
         } else if (reveal != nullptr) {
-          // Streaming reveal, same contiguous shard boundaries; ranges are
-          // independent share sums, so shard tasks reconstruct concurrently.
+          // Streaming reveal (DESIGN.md §14), same contiguous boundaries;
+          // ranges are independent share sums, so shard tasks reconstruct
+          // concurrently and the revealed relation never materializes.
           const int64_t rows = reveal->NumRows();
           shared->outputs[static_cast<size_t>(s)] = pipeline.RunFromReveal(
               *reveal, rows * s / num_shards, rows * (s + 1) / num_shards,
               batch_rows);
-          shared->op_rows[static_cast<size_t>(s)] =
-              pipeline.stats().op_input_rows;
         } else {
           shared->outputs[static_cast<size_t>(s)] =
               pipeline.Run(*shard, batch_rows);
-          shared->op_rows[static_cast<size_t>(s)] =
-              pipeline.stats().op_input_rows;
         }
+        shared->op_rows[static_cast<size_t>(s)] = pipeline.stats().op_input_rows;
       } catch (const std::exception& e) {
-        shared->statuses[static_cast<size_t>(s)] = InternalError(
-            StrFormat("fused chain shard task threw: %s", e.what()));
+        // See DispatchCreate: escaping exceptions must not reach WorkerLoop.
+        shared->statuses[static_cast<size_t>(s)] =
+            InternalError(StrFormat("fused chain task threw: %s", e.what()));
       }
       if (shared->remaining.fetch_sub(1, std::memory_order_acq_rel) != 1) {
-        return;  // Not the last shard; the last finisher posts the completion.
+        return;  // Not the last range; the last finisher posts the completion.
       }
       Completion completion;
       completion.topo_index = my_topo;
@@ -1033,12 +994,16 @@ void JobGraphExecutor::DispatchChain(NodeExec& exec) {
             remaining_rows -= take;
           }
         }
-        ShardedRelation out{shared->output_schema};
-        for (Relation& relation : shared->outputs) {
-          out.AddShard(std::move(relation));
+        if (sharded) {
+          ShardedRelation out{shared->output_schema};
+          for (Relation& relation : shared->outputs) {
+            out.AddShard(std::move(relation));
+          }
+          completion.sharded_output = std::move(out);
+          completion.is_sharded = true;
+        } else {
+          completion.output = std::move(shared->outputs[0]);
         }
-        completion.sharded_output = std::move(out);
-        completion.is_sharded = true;
         completion.chain_op_rows.assign(spec->ops.size(), 0);
         for (const std::vector<int64_t>& rows : shared->op_rows) {
           for (size_t k = 0; k < rows.size(); ++k) {

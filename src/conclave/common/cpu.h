@@ -35,8 +35,9 @@ namespace cpu {
 bool HardwareAvx2();
 bool HardwareAes();
 
-// The CONCLAVE_SIMD knob: unset or any value other than "0"/"off"/"false"
-// means enabled. SetSimdEnabled overrides the environment for the process.
+// The CONCLAVE_SIMD knob (env::BoolKnob): unset, "1", "on", "ON" or "true"
+// enables it, "0", "off", "OFF" or "false" disables it, and any other value
+// aborts. SetSimdEnabled overrides the environment for the process.
 bool SimdEnabled();
 void SetSimdEnabled(bool enabled);
 

@@ -1,11 +1,12 @@
 // Centralized parsing for the CONCLAVE_* environment knobs.
 //
-// Every runtime knob (CONCLAVE_BATCH_ROWS, CONCLAVE_SHARDS, CONCLAVE_MEM_BUDGET,
-// CONCLAVE_STREAM_REVEAL, CONCLAVE_THREADS, CONCLAVE_SIMD, CONCLAVE_FUSED_EXPR, ...)
-// goes through the two readers below instead of ad-hoc atoi/atoll at each call
-// site. The core parsers are pure functions over the variable's text and return
-// Status on malformed input — the readers crash with a message naming the
-// variable and the offending value rather than silently coercing garbage to 0.
+// Every numeric or boolean runtime knob (integers: CONCLAVE_BATCH_ROWS,
+// CONCLAVE_SHARDS, CONCLAVE_MEM_BUDGET, CONCLAVE_THREADS; booleans:
+// CONCLAVE_STREAM_REVEAL, CONCLAVE_SIMD) goes through the two readers below
+// instead of ad-hoc atoi/atoll at each call site. The core parsers are pure
+// functions over the variable's text and return Status on malformed input —
+// the readers crash with a message naming the variable and the offending value
+// rather than silently coercing garbage to 0.
 //
 // Integer knobs accept an optional list of named sentinel tokens (e.g.
 // "materialize" for CONCLAVE_BATCH_ROWS, "auto" for CONCLAVE_SHARDS) so the

@@ -11,7 +11,6 @@
 #include "conclave/mpc/garbled/gc_cost.h"
 #include "conclave/mpc/oblivious.h"
 #include "conclave/mpc/protocols.h"
-#include "conclave/relational/expr.h"
 #include "conclave/relational/ops.h"
 #include "conclave/relational/spill.h"
 
@@ -742,16 +741,10 @@ std::string PlanCostReport::ToString() const {
         "(batch %lld rows; resident rows per shard <= depth x batch)\n",
         fused_pipeline_chains, fused_pipeline_nodes, longest_pipeline_chain,
         static_cast<long long>(pipeline_batch_rows));
-    if (fused_expr_enabled) {
-      out += StrFormat(
-          "expr-advice: %d fused expression group(s) over %d node(s) (one "
-          "register-resident pass per batch; per-node pricing unchanged)\n",
-          fused_expr_groups, fused_expr_nodes);
-    } else {
-      out +=
-          "expr-advice: fused evaluator off (unset CONCLAVE_FUSED_EXPR=0 to "
-          "re-enable)\n";
-    }
+    out += StrFormat(
+        "expr-advice: %d fused expression group(s) over %d node(s) (one "
+        "register-resident pass per batch; per-node pricing unchanged)\n",
+        fused_expr_groups, fused_expr_nodes);
     if (stream_reveal_enabled) {
       out += StrFormat(
           "reveal-advice: %d chain(s) stream their reveal boundary "
@@ -930,7 +923,6 @@ void AnnotatePipelineAdvice(PlanCostReport& report, const ir::Dag& dag,
   report.fused_pipeline_chains = 0;
   report.fused_pipeline_nodes = 0;
   report.longest_pipeline_chain = 0;
-  report.fused_expr_enabled = FusedExprEnabled();
   report.fused_expr_groups = 0;
   report.fused_expr_nodes = 0;
   report.stream_reveal_enabled = env::BoolKnob("CONCLAVE_STREAM_REVEAL", true);
@@ -971,22 +963,14 @@ void AnnotatePipelineAdvice(PlanCostReport& report, const ir::Dag& dag,
         ++report.streamed_reveal_chains;
       }
     }
-    if (!report.fused_expr_enabled) {
-      continue;
-    }
-    size_t i = 0;
-    while (i < chain.size()) {
-      size_t end = i + 1;
+    for (size_t i = 0; i < chain.size(); ++i) {
       if (expr_fusible(*chain[i])) {
-        while (end < chain.size() && expr_fusible(*chain[end])) {
-          ++end;
+        ++report.fused_expr_nodes;
+        // Each maximal run (a lone node included) is one group.
+        if (i == 0 || !expr_fusible(*chain[i - 1])) {
+          ++report.fused_expr_groups;
         }
       }
-      if (end - i >= 2) {
-        ++report.fused_expr_groups;
-        report.fused_expr_nodes += static_cast<int>(end - i);
-      }
-      i = end;
     }
   }
 }

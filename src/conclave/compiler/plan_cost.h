@@ -93,14 +93,12 @@ struct PlanCostReport {
   int streamed_reveal_chains = 0;
 
   // Fused-expression advice (filled by AnnotatePipelineAdvice alongside the
-  // chain counts): within the fused chains, how many maximal runs of >= 2
-  // adjacent filter / project / arithmetic nodes the executor compiles into
-  // single-pass FusedExprPrograms (relational/expr.h), and how many nodes
-  // those runs cover. Advisory only — a fused run reports per-node input rows
-  // identical to per-operator execution, so per-node pricing (and the
-  // estimate==meter identities) are unchanged. Reflects the
-  // CONCLAVE_FUSED_EXPR knob at explain time.
-  bool fused_expr_enabled = false;
+  // chain counts): within the fused chains, how many maximal runs of adjacent
+  // filter / project / arithmetic nodes (a lone node included) the executor
+  // compiles into single-pass FusedExprPrograms (relational/expr.h), and how
+  // many nodes those runs cover. Advisory only — a fused run reports per-node
+  // input rows identical to the materializing execution, so per-node pricing
+  // (and the estimate==meter identities) are unchanged.
   int fused_expr_groups = 0;
   int fused_expr_nodes = 0;
 

@@ -170,10 +170,11 @@ class FaultInjector {
   void OnSend(PartyId from, PartyId to, uint64_t bytes);
 
   // Delivers one revealed relation for the current scope's next reveal ordinal:
-  // each injected corruption is detected end-to-end by a commitment opening check
-  // (mpc/malicious) and retransmitted with backoff. Corruption beyond
-  // max_send_retries raises a pending failure; the true relation always reaches
-  // the caller (an aborted run discards outputs anyway).
+  // takes DeliverRevealStreamed's decisions and charges for the relation's
+  // shape, then detects each scheduled corruption end-to-end by a commitment
+  // opening check (mpc/malicious) inline. Corruption beyond max_send_retries
+  // raises a pending failure; the true relation always reaches the caller (an
+  // aborted run discards outputs anyway).
   void DeliverReveal(const Relation& revealed);
 
   // One scheduled corruption of a streamed reveal: flip `bit` in cell
@@ -186,15 +187,14 @@ class FaultInjector {
     int64_t bit = 0;
   };
 
-  // The streaming twin of DeliverReveal: consumes the same reveal ordinal and
-  // makes identical injection decisions, retry charges, counter updates, and
-  // pending-failure escalations — computed from the reveal's public shape
-  // (rows x cols, ByteSize = rows * cols * 8) without the relation ever
-  // materializing here. Returns the corruption schedule (empty when this reveal
-  // is untouched) and the commitment nonce for the batch-level opening checks;
-  // the detection CHECKs that DeliverReveal runs inline move to the
-  // RevealSource's batch verification. A plan is recoverable through this path
-  // exactly when it is recoverable through DeliverReveal.
+  // The reveal-corruption decision path, shared by both reveal modes: consumes
+  // the current scope's next reveal ordinal and makes the injection decision,
+  // retry charges, counter updates, and pending-failure escalation — computed
+  // from the reveal's public shape (rows x cols, ByteSize = rows * cols * 8)
+  // without the relation ever materializing here. Returns the corruption
+  // schedule (empty when this reveal is untouched) and the commitment nonce;
+  // the detection CHECKs run in DeliverReveal (materialized reveals) or in the
+  // RevealSource's batch verification (streamed reveals).
   std::vector<RevealCorruption> DeliverRevealStreamed(int64_t rows, int cols,
                                                       uint64_t* nonce_out);
 

@@ -1,16 +1,18 @@
 // Fused expression evaluator for pipeline chains (DESIGN.md §13).
 //
-// A maximal run (>= 2 ops) of adjacent filter / project / arithmetic pipeline
-// ops compiles into one FusedExprProgram: a short instruction list evaluated in
-// a single pass per batch. Arithmetic results live in register-resident scratch
-// columns, filters AND into one progressive byte mask (cpu::CompareMask), and
-// the survivors are gathered exactly once at the end of the run — no
-// per-operator batch materialization, no per-operator virtual dispatch.
+// Every maximal run of adjacent filter / project / arithmetic pipeline ops —
+// a lone op is a run of length 1 — compiles into one FusedExprProgram: a short
+// instruction list evaluated in a single pass per batch. It is the only way a
+// pipeline executes these ops. Arithmetic results live in register-resident
+// scratch columns, filters AND into one progressive byte mask
+// (cpu::CompareMask), and the survivors are gathered exactly once at the end
+// of the run — no per-operator batch materialization, no per-operator virtual
+// dispatch.
 // Projects cost nothing at runtime: they are compiled away into column
 // remappings.
 //
 // Semantics contract: a fused run is bit-identical — values AND row order — to
-// executing its ops one at a time, at every batch size. Two properties make
+// composing its ops' ops.h kernels, at every batch size. Two properties make
 // this safe to fuse:
 //   * Every kernel is a total function with the engine's wrap semantics
 //     (cpu::ArithColumn: int64 wrap via uint64; kDiv: divisor 0 -> 0,
@@ -20,14 +22,10 @@
 //     of the intersected mask equals the composition of per-filter gathers.
 //
 // Accounting contract: the program reports, per original op, exactly the row
-// count that op would have consumed in the unfused execution (the mask
-// popcount after the preceding filters). BatchPipeline feeds these into
+// count that op consumes in the materializing execution (the mask popcount
+// after the preceding filters). BatchPipeline feeds these into
 // PipelineStats::op_input_rows, so the dispatcher's estimate == meter identity
-// holds whether or not fusion is enabled.
-//
-// The CONCLAVE_FUSED_EXPR knob (unset or any value other than "0"/"off"/
-// "false" means enabled) mirrors CONCLAVE_SIMD: it never changes results, only
-// whether chains execute fused or one operator at a time.
+// holds at every batch size.
 #ifndef CONCLAVE_RELATIONAL_EXPR_H_
 #define CONCLAVE_RELATIONAL_EXPR_H_
 
@@ -41,46 +39,25 @@
 
 namespace conclave {
 
-// The CONCLAVE_FUSED_EXPR knob. SetFusedExprEnabled overrides the environment
-// for the process; BatchPipeline reads the knob once at construction.
-bool FusedExprEnabled();
-void SetFusedExprEnabled(bool enabled);
-
-// RAII knob override for tests and A/B benches.
-class ScopedFusedExpr {
- public:
-  explicit ScopedFusedExpr(bool enabled) : saved_(FusedExprEnabled()) {
-    SetFusedExprEnabled(enabled);
-  }
-  ~ScopedFusedExpr() { SetFusedExprEnabled(saved_); }
-  ScopedFusedExpr(const ScopedFusedExpr&) = delete;
-  ScopedFusedExpr& operator=(const ScopedFusedExpr&) = delete;
-
- private:
-  bool saved_;
-};
-
 // True for the op kinds the fused evaluator can compile (filter / project /
 // arithmetic). Limit and distinct-on-sorted carry cross-batch state and stay
 // standalone operators.
 bool FusibleExprOp(const PipelineOp& op);
 
-// One executor slot of a pipeline: ops [begin, end) of the spec. end - begin
-// >= 2 means the slot runs as one FusedExprProgram; a singleton slot runs as
-// the op's standalone streaming operator.
+// One executor slot of a pipeline: ops [begin, end) of the spec. A slot of
+// fusible ops runs as one FusedExprProgram; a limit or distinct-on-sorted slot
+// holds exactly that op and runs as its standalone streaming operator.
 struct ExprSlot {
   size_t begin = 0;
   size_t end = 0;
 
   size_t size() const { return end - begin; }
-  bool fused() const { return size() >= 2; }
 };
 
-// Partitions an op chain into slots. With `fuse` set, every maximal run of
-// >= 2 adjacent fusible ops becomes one fused slot; everything else (and the
-// whole chain when `fuse` is false) becomes singleton slots. Slots cover
-// [0, ops.size()) exactly, in order.
-std::vector<ExprSlot> FuseExprSlots(std::span<const PipelineOp> ops, bool fuse);
+// Partitions an op chain into slots: every maximal run of adjacent fusible ops
+// (length 1 included) becomes one slot, every other op a singleton slot. Slots
+// cover [0, ops.size()) exactly, in order.
+std::vector<ExprSlot> FuseExprSlots(std::span<const PipelineOp> ops);
 
 // A compiled fused run. Construction resolves every op's column references
 // against the evolving intermediate schema, so evaluation touches only raw
@@ -104,7 +81,8 @@ class FusedExprProgram {
   // surviving rows as one owned batch (0 rows -> emit nothing upstream).
   // Adds to op_rows[j] (size num_ops()) the rows entering relative op j —
   // op_rows[0] grows by hi - lo, later ops by the survivor count of the
-  // filters before them, matching the unfused execution's per-op input rows.
+  // filters before them, matching the materializing execution's per-op input
+  // rows.
   Relation Eval(const Relation& src, int64_t lo, int64_t hi,
                 std::span<int64_t> op_rows);
 

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <limits>
-#include <string>
 #include <utility>
 
-#include "conclave/common/cpu.h"
 #include "conclave/common/env.h"
 #include "conclave/mpc/reveal_source.h"
 #include "conclave/relational/csv.h"
@@ -74,11 +72,12 @@ Relation CopySlice(const Relation& src, int64_t lo, int64_t hi) {
 
 namespace pipeline_internal {
 
-// The consume/flush operator contract. An operator receives owned batches (or,
-// for the pipeline head, borrowed slices of the source), emits output batches
+// The consume operator contract. An operator receives owned batches (or, for
+// the pipeline head, borrowed slices of the source), emits output batches
 // downstream, and may keep only O(1) rows of cross-batch state. Subclasses must
 // be batch-invariant: concatenating the emitted batches reproduces the matching
-// ops.h kernel bit for bit at every batch size.
+// ops.h kernel bit for bit at every batch size. No operator buffers whole
+// batches, so end of stream needs no drain step.
 class BatchOperator {
  public:
   // `index` is the operator's executor SLOT (a fused run is one slot), not an
@@ -90,24 +89,15 @@ class BatchOperator {
   const Schema& output_schema() const { return output_schema_; }
 
   virtual void Reset() {}
-  // Consumes one owned batch, emitting zero or more output batches.
-  virtual void Consume(Relation&& batch) = 0;
-  // Consumes rows [lo, hi) of a borrowed source relation. The default
-  // materializes the slice; operators whose kernel can read the source directly
-  // (filter's selection scan, project's column copies) override it to skip the
-  // head-of-pipeline copy.
-  virtual void ConsumeSlice(const Relation& src, int64_t lo, int64_t hi) {
-    SelfDeliver(CopySlice(src, lo, hi));
-  }
-  // End of stream. None of the streaming operators buffer whole batches, so the
-  // default emits nothing; the hook is the contract's drain point.
-  virtual void Flush() {}
+  // Consumes rows [lo, hi) of a borrowed relation (a head-of-pipeline source
+  // slice, or a whole owned batch via Consume), emitting zero or more output
+  // batches.
+  virtual void ConsumeSlice(const Relation& src, int64_t lo, int64_t hi) = 0;
+  // Consumes one owned batch.
+  virtual void Consume(Relation&& batch) { ConsumeSlice(batch, 0, batch.NumRows()); }
 
  protected:
   void Emit(Relation&& batch) { pipeline_->Push(index_ + 1, std::move(batch)); }
-  // Routes a head-of-pipeline slice copy through the pipeline's residency
-  // accounting and back into this operator's Consume.
-  void SelfDeliver(Relation&& batch) { pipeline_->Push(index_, std::move(batch)); }
   // Fused-slot accounting hook (see BatchPipeline::AddOpInputRows).
   void AddOpInputRows(size_t op_index, int64_t rows) {
     pipeline_->AddOpInputRows(op_index, rows);
@@ -120,101 +110,6 @@ class BatchOperator {
 };
 
 namespace {
-
-class FilterOperator : public BatchOperator {
- public:
-  FilterOperator(BatchPipeline* pipeline, size_t index, Schema output_schema,
-                 const FilterPredicate& predicate)
-      : BatchOperator(pipeline, index, std::move(output_schema)),
-        predicate_(predicate) {}
-
-  void Consume(Relation&& batch) override { ConsumeSlice(batch, 0, batch.NumRows()); }
-
-  void ConsumeSlice(const Relation& src, int64_t lo, int64_t hi) override {
-    if (hi == lo) {
-      return;
-    }
-    const int64_t* const lhs = src.ColumnSpan(predicate_.column).data();
-    const int64_t* const rhs = predicate_.rhs_is_column
-                                   ? src.ColumnSpan(predicate_.rhs_column).data()
-                                   : nullptr;
-    selected_.resize(static_cast<size_t>(hi - lo));
-    const size_t count = cpu::SelectCompare(
-        static_cast<cpu::Cmp>(predicate_.op), lhs + lo,
-        rhs != nullptr ? rhs + lo : nullptr, predicate_.rhs_literal,
-        /*base=*/lo, static_cast<size_t>(hi - lo), selected_.data());
-    selected_.resize(count);
-    if (!selected_.empty()) {
-      Emit(ops::GatherRows(src, selected_));
-    }
-  }
-
- private:
-  FilterPredicate predicate_;
-  std::vector<int64_t> selected_;  // Reused scratch; O(batch) rows.
-};
-
-class ProjectOperator : public BatchOperator {
- public:
-  ProjectOperator(BatchPipeline* pipeline, size_t index, Schema output_schema,
-                  std::vector<int> columns)
-      : BatchOperator(pipeline, index, std::move(output_schema)),
-        columns_(std::move(columns)) {}
-
-  void Consume(Relation&& batch) override { ConsumeSlice(batch, 0, batch.NumRows()); }
-
-  void ConsumeSlice(const Relation& src, int64_t lo, int64_t hi) override {
-    if (hi == lo) {
-      return;
-    }
-    Relation out{output_schema()};
-    out.Resize(hi - lo);
-    for (size_t i = 0; i < columns_.size(); ++i) {
-      const auto column = src.ColumnSpan(columns_[i]);
-      std::copy(column.begin() + lo, column.begin() + hi,
-                out.ColumnData(static_cast<int>(i)));
-    }
-    Emit(std::move(out));
-  }
-
- private:
-  std::vector<int> columns_;
-};
-
-class ArithmeticOperator : public BatchOperator {
- public:
-  ArithmeticOperator(BatchPipeline* pipeline, size_t index, Schema output_schema,
-                     const ArithSpec& spec)
-      : BatchOperator(pipeline, index, std::move(output_schema)), spec_(spec) {}
-
-  void Consume(Relation&& batch) override { ConsumeSlice(batch, 0, batch.NumRows()); }
-
-  void ConsumeSlice(const Relation& src, int64_t lo, int64_t hi) override {
-    const int64_t rows = hi - lo;
-    if (rows == 0) {
-      return;
-    }
-    Relation out{output_schema()};
-    out.Resize(rows);
-    for (int c = 0; c < src.NumColumns(); ++c) {
-      const auto column = src.ColumnSpan(c);
-      std::copy(column.begin() + lo, column.begin() + hi, out.ColumnData(c));
-    }
-    // Same kernel as ops::Arithmetic (incl. kDiv's fixed-point scale and
-    // divide-by-zero -> 0), so batch concatenation is bit-identical.
-    const int64_t* const lhs = src.ColumnSpan(spec_.lhs_column).data() + lo;
-    const int64_t* const rhs = spec_.rhs_is_column
-                                   ? src.ColumnSpan(spec_.rhs_column).data() + lo
-                                   : nullptr;
-    cpu::ArithColumn(static_cast<cpu::Arith>(spec_.kind), lhs, rhs,
-                     spec_.rhs_literal, spec_.scale, static_cast<size_t>(rows),
-                     out.ColumnData(src.NumColumns()));
-    Emit(std::move(out));
-  }
-
- private:
-  ArithSpec spec_;
-};
 
 class LimitOperator : public BatchOperator {
  public:
@@ -229,7 +124,7 @@ class LimitOperator : public BatchOperator {
     remaining_ -= take;
     if (take == 0) {
       // Deliberately no early exit: the whole stream is still consumed so
-      // per-operator row counts match the unfused execution.
+      // per-operator row counts match the materializing execution.
       return;
     }
     if (take == batch.NumRows()) {
@@ -267,8 +162,6 @@ class DistinctOnSortedOperator : public BatchOperator {
     last_row_.clear();
     has_last_ = false;
   }
-
-  void Consume(Relation&& batch) override { ConsumeSlice(batch, 0, batch.NumRows()); }
 
   void ConsumeSlice(const Relation& src, int64_t lo, int64_t hi) override {
     selected_.clear();
@@ -314,12 +207,13 @@ class DistinctOnSortedOperator : public BatchOperator {
   std::vector<int64_t> selected_;      // Reused scratch; O(batch) rows.
 };
 
-// One executor slot covering a fused run of >= 2 adjacent filter / project /
-// arithmetic ops (relational/expr.h): the whole run evaluates in one
-// register-resident pass per batch. Push attributes the batch's rows to the
-// run's FIRST original op; the interior ops' per-op input rows come from the
-// program's accounting and flow through AddOpInputRows, so op_input_rows is
-// identical to the unfused execution at every batch size.
+// One executor slot covering a maximal run of adjacent filter / project /
+// arithmetic ops (relational/expr.h; a lone op is a run of length 1): the whole
+// run evaluates in one register-resident pass per batch. The batch's rows are
+// attributed to the run's FIRST original op by the caller; the interior ops'
+// per-op input rows come from the program's accounting and flow through
+// AddOpInputRows, so op_input_rows equals the materializing execution's
+// intermediate cardinalities at every batch size.
 class FusedExprOperator : public BatchOperator {
  public:
   FusedExprOperator(BatchPipeline* pipeline, size_t slot, Schema output_schema,
@@ -328,8 +222,6 @@ class FusedExprOperator : public BatchOperator {
         program_(std::move(program)),
         first_op_(first_op),
         op_rows_(program_.num_ops()) {}
-
-  void Consume(Relation&& batch) override { ConsumeSlice(batch, 0, batch.NumRows()); }
 
   void ConsumeSlice(const Relation& src, int64_t lo, int64_t hi) override {
     if (hi == lo) {
@@ -381,45 +273,26 @@ BatchPipeline::BatchPipeline(const PipelineSpec& spec) {
   using pipeline_internal::BatchOperator;
   num_ops_ = spec.ops.size();
   Schema schema = spec.input_schema;
-  // Knob read once here: a pipeline's slot structure is fixed for its lifetime,
-  // so mid-run knob flips cannot desynchronize slots from operators.
-  const std::vector<ExprSlot> slots = FuseExprSlots(spec.ops, FusedExprEnabled());
-  for (const ExprSlot& slot : slots) {
+  for (const ExprSlot& slot : FuseExprSlots(spec.ops)) {
     const size_t i = operators_.size();  // This slot's executor index.
+    const PipelineOp& op = spec.ops[slot.begin];
     std::unique_ptr<BatchOperator> built;
     Schema out;
-    if (slot.fused()) {
+    if (FusibleExprOp(op)) {
       FusedExprProgram program(
           schema, std::span<const PipelineOp>(spec.ops).subspan(
                       slot.begin, slot.size()));
       out = program.output_schema();
       built = std::make_unique<pipeline_internal::FusedExprOperator>(
           this, i, out, std::move(program), slot.begin);
-    } else {
-      const PipelineOp& op = spec.ops[slot.begin];
+    } else if (op.kind == PipelineOp::Kind::kLimit) {
       out = DeriveSchema(schema, op);
-      switch (op.kind) {
-        case PipelineOp::Kind::kFilter:
-          built = std::make_unique<pipeline_internal::FilterOperator>(this, i, out,
-                                                                      op.filter);
-          break;
-        case PipelineOp::Kind::kProject:
-          built = std::make_unique<pipeline_internal::ProjectOperator>(this, i, out,
-                                                                       op.columns);
-          break;
-        case PipelineOp::Kind::kArithmetic:
-          built = std::make_unique<pipeline_internal::ArithmeticOperator>(this, i, out,
-                                                                          op.arith);
-          break;
-        case PipelineOp::Kind::kLimit:
-          built = std::make_unique<pipeline_internal::LimitOperator>(this, i, out,
-                                                                     op.limit_count);
-          break;
-        case PipelineOp::Kind::kDistinctOnSorted:
-          built = std::make_unique<pipeline_internal::DistinctOnSortedOperator>(
-              this, i, out, op.columns);
-          break;
-      }
+      built = std::make_unique<pipeline_internal::LimitOperator>(this, i, out,
+                                                                 op.limit_count);
+    } else {
+      out = DeriveSchema(schema, op);
+      built = std::make_unique<pipeline_internal::DistinctOnSortedOperator>(
+          this, i, out, op.columns);
     }
     operators_.push_back(std::move(built));
     slot_first_op_.push_back(slot.begin);
@@ -431,30 +304,35 @@ BatchPipeline::BatchPipeline(const PipelineSpec& spec) {
 BatchPipeline::~BatchPipeline() = default;
 
 void BatchPipeline::Push(size_t slot, Relation&& batch) {
+  const int64_t rows = batch.NumRows();
+  // Every owned batch is resident while its slot consumes it — including the
+  // batch bound for the sink while it is appended, so a chain that is one
+  // fused slot still reports its batch-sized high-water mark.
+  ++live_batches_;
+  live_rows_ += rows;
+  stats_.peak_batches_resident = std::max(stats_.peak_batches_resident, live_batches_);
+  stats_.peak_rows_resident = std::max(stats_.peak_rows_resident, live_rows_);
   if (slot == operators_.size()) {
     const int64_t start = output_.NumRows();
-    const int64_t rows = batch.NumRows();
     output_.Resize(start + rows);
     for (int c = 0; c < batch.NumColumns(); ++c) {
       const auto column = batch.ColumnSpan(c);
       std::copy(column.begin(), column.end(), output_.ColumnData(c) + start);
     }
-    return;
+  } else {
+    if (slot > 0) {
+      stats_.op_input_rows[slot_first_op_[slot]] += rows;
+    }
+    operators_[slot]->Consume(std::move(batch));
   }
-  const int64_t rows = batch.NumRows();
-  if (slot > 0) {
-    stats_.op_input_rows[slot_first_op_[slot]] += rows;
-  }
-  ++live_batches_;
-  live_rows_ += rows;
-  stats_.peak_batches_resident = std::max(stats_.peak_batches_resident, live_batches_);
-  stats_.peak_rows_resident = std::max(stats_.peak_rows_resident, live_rows_);
-  operators_[slot]->Consume(std::move(batch));
   --live_batches_;
   live_rows_ -= rows;
 }
 
-Relation BatchPipeline::Run(const Relation& input, int64_t batch_rows) {
+StatusOr<Relation> BatchPipeline::RunBatches(int64_t begin, int64_t end,
+                                             int64_t batch_rows,
+                                             const Relation* borrowed,
+                                             const BatchFetch& fetch) {
   stats_ = PipelineStats{};
   stats_.op_input_rows.assign(num_ops_, 0);
   live_batches_ = 0;
@@ -462,99 +340,54 @@ Relation BatchPipeline::Run(const Relation& input, int64_t batch_rows) {
   for (auto& op : operators_) {
     op->Reset();
   }
+  if (operators_.empty()) {
+    // Nothing to stream through: the source passes through whole.
+    return borrowed != nullptr ? StatusOr<Relation>(*borrowed) : fetch(begin, end);
+  }
+  const int64_t rows = end - begin;
   output_ = Relation{output_schema_};
   // Every streaming operator's output is at most its input, so the source row
   // count bounds the output: one reservation, no quadratic regrowth on append.
-  output_.Reserve(input.NumRows());
-
-  const int64_t rows = input.NumRows();
+  output_.Reserve(rows);
   const int64_t step = batch_rows <= 0 ? std::max<int64_t>(rows, 1) : batch_rows;
-  if (!operators_.empty()) {
-    for (int64_t lo = 0; lo < rows; lo += step) {
-      const int64_t hi = std::min(rows, lo + step);
-      ++stats_.batches_pushed;
-      stats_.rows_pushed += hi - lo;
-      stats_.op_input_rows[0] += hi - lo;
-      operators_[0]->ConsumeSlice(input, lo, hi);
+  for (int64_t lo = begin; lo < end; lo += step) {
+    const int64_t hi = std::min(end, lo + step);
+    ++stats_.batches_pushed;
+    stats_.rows_pushed += hi - lo;
+    stats_.op_input_rows[0] += hi - lo;
+    if (borrowed != nullptr) {
+      operators_[0]->ConsumeSlice(*borrowed, lo, hi);
+    } else {
+      // A parsed or revealed batch is pipeline-owned memory: Push routes it
+      // through the residency accounting.
+      CONCLAVE_ASSIGN_OR_RETURN(Relation batch, fetch(lo, hi));
+      Push(0, std::move(batch));
     }
-    for (auto& op : operators_) {
-      op->Flush();
-    }
-  } else {
-    output_ = input;
   }
   return std::move(output_);
+}
+
+Relation BatchPipeline::Run(const Relation& input, int64_t batch_rows) {
+  return RunBatches(0, input.NumRows(), batch_rows, &input, nullptr).value();
 }
 
 StatusOr<Relation> BatchPipeline::RunFromCsv(const CsvSource& source,
                                              int64_t begin, int64_t end,
                                              int64_t batch_rows) {
-  stats_ = PipelineStats{};
-  stats_.op_input_rows.assign(num_ops_, 0);
-  live_batches_ = 0;
-  live_rows_ = 0;
-  for (auto& op : operators_) {
-    op->Reset();
-  }
-  output_ = Relation{output_schema_};
-  const int64_t rows = end - begin;
-  output_.Reserve(rows);
-
-  const int64_t step = batch_rows <= 0 ? std::max<int64_t>(rows, 1) : batch_rows;
-  if (!operators_.empty()) {
-    for (int64_t lo = begin; lo < end; lo += step) {
-      const int64_t hi = std::min(end, lo + step);
-      CONCLAVE_ASSIGN_OR_RETURN(Relation batch, source.ParseRows(lo, hi));
-      ++stats_.batches_pushed;
-      stats_.rows_pushed += hi - lo;
-      stats_.op_input_rows[0] += hi - lo;
-      // Unlike Run's borrowed source slices, the parsed batch is
-      // pipeline-owned memory: route it through Push so the residency
-      // high-water counts it.
-      Push(0, std::move(batch));
-    }
-    for (auto& op : operators_) {
-      op->Flush();
-    }
-  } else {
-    CONCLAVE_ASSIGN_OR_RETURN(output_, source.ParseRows(begin, end));
-  }
-  return std::move(output_);
+  return RunBatches(begin, end, batch_rows, nullptr,
+                    [&source](int64_t lo, int64_t hi) {
+                      return source.ParseRows(lo, hi);
+                    });
 }
 
 Relation BatchPipeline::RunFromReveal(const mpc::RevealSource& source,
                                       int64_t begin, int64_t end,
                                       int64_t batch_rows) {
-  stats_ = PipelineStats{};
-  stats_.op_input_rows.assign(num_ops_, 0);
-  live_batches_ = 0;
-  live_rows_ = 0;
-  for (auto& op : operators_) {
-    op->Reset();
-  }
-  output_ = Relation{output_schema_};
-  const int64_t rows = end - begin;
-  output_.Reserve(rows);
-
-  const int64_t step = batch_rows <= 0 ? std::max<int64_t>(rows, 1) : batch_rows;
-  if (!operators_.empty()) {
-    for (int64_t lo = begin; lo < end; lo += step) {
-      const int64_t hi = std::min(end, lo + step);
-      Relation batch = source.RevealRows(lo, hi);
-      ++stats_.batches_pushed;
-      stats_.rows_pushed += hi - lo;
-      stats_.op_input_rows[0] += hi - lo;
-      // Like RunFromCsv's parsed batches, the revealed batch is pipeline-owned
-      // memory: route it through Push so the residency high-water counts it.
-      Push(0, std::move(batch));
-    }
-    for (auto& op : operators_) {
-      op->Flush();
-    }
-  } else {
-    output_ = source.RevealRows(begin, end);
-  }
-  return std::move(output_);
+  return RunBatches(begin, end, batch_rows, nullptr,
+                    [&source](int64_t lo, int64_t hi) -> StatusOr<Relation> {
+                      return source.RevealRows(lo, hi);
+                    })
+      .value();
 }
 
 }  // namespace conclave

@@ -3,7 +3,7 @@
 // A BatchPipeline streams fixed-size row batches from a materialized source
 // relation through a chain of streaming operators (filter / project / arithmetic /
 // limit / distinct-on-sorted), materializing only the chain's final output. Each
-// operator implements a Carnot-style consume/flush contract: it receives one input
+// operator implements a Carnot-style consume contract: it receives one input
 // batch at a time, emits zero or more output batches downstream, and may hold only
 // O(1) rows of cross-batch state (the limit cursor, the last distinct row). The
 // pipeline therefore holds O(pipeline depth x batch_rows) rows of intermediate
@@ -21,20 +21,21 @@
 // Streaming limit deliberately does NOT early-exit: upstream operators consume
 // every batch even after the limit is satisfied, so per-operator row counts — and
 // with them the dispatcher's cost-model charges and counters — are identical to
-// the unfused execution at every batch size.
+// the materializing execution at every batch size.
 //
 // Executor slots: the constructor partitions the op chain into slots (see
-// relational/expr.h). A maximal run of >= 2 adjacent filter / project /
-// arithmetic ops becomes ONE operator — a FusedExprProgram evaluated in a
-// single register-resident pass per batch — when the CONCLAVE_FUSED_EXPR knob
-// is on; every other op is its own slot. PipelineStats::op_input_rows stays
-// indexed by ORIGINAL op position regardless: fused slots report their
-// interior ops' per-op input rows through the program's accounting, so the
-// dispatcher's per-node pricing is identical with fusion on or off.
+// relational/expr.h). Every maximal run of adjacent filter / project /
+// arithmetic ops — a lone one included — becomes ONE operator, a
+// FusedExprProgram evaluated in a single register-resident pass per batch;
+// limit and distinct-on-sorted are the only standalone operators.
+// PipelineStats::op_input_rows stays indexed by ORIGINAL op position: fused
+// slots report their interior ops' per-op input rows through the program's
+// accounting, so the dispatcher prices every node as if it had materialized.
 #ifndef CONCLAVE_RELATIONAL_PIPELINE_H_
 #define CONCLAVE_RELATIONAL_PIPELINE_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -55,11 +56,12 @@ class RevealSource;
 inline constexpr int64_t kDefaultBatchRows = 4096;
 // Disables pipeline fusion entirely: every operator materializes through ops.h
 // (the pre-pipeline executor, and the differential harness's baseline).
+// Callers passing batch_rows directly may use any value <= 0.
 inline constexpr int64_t kMaterializeBatchRows = -1;
 
 // CONCLAVE_BATCH_ROWS env override: a positive integer sets the batch size,
-// "materialize" (or any non-positive value) disables fusion; unset picks
-// kDefaultBatchRows.
+// "materialize" or "0" disables fusion, and anything else (a negative or
+// malformed value) aborts via env::Int64Knob; unset picks kDefaultBatchRows.
 int64_t DefaultBatchRows();
 
 // One resolved streaming operator of a pipeline (column references are
@@ -90,17 +92,18 @@ struct PipelineSpec {
 };
 
 // Instrumentation captured by one BatchPipeline::Run. The peaks are high-water
-// marks over pipeline-owned batches only (the source and the materialized output
-// exist regardless of batching); a non-blocking chain must keep them O(depth x
-// batch_rows), never O(input rows).
+// marks over pipeline-owned batches only — parsed or revealed source batches,
+// inter-slot batches, and the batch being appended to the output (a borrowed
+// source and the materialized output exist regardless of batching); a
+// non-blocking chain must keep them O(depth x batch_rows), never O(input rows).
 struct PipelineStats {
   int64_t batches_pushed = 0;       // Source batches entering the pipeline.
   int64_t rows_pushed = 0;          // Source rows entering the pipeline.
   int64_t peak_batches_resident = 0;
   int64_t peak_rows_resident = 0;
   // Rows consumed by each operator (index-aligned with the spec's ops). Equals
-  // the materialized intermediate cardinalities of the unfused execution, at
-  // every batch size; the dispatcher prices fused interior nodes from these.
+  // the intermediate cardinalities of the materializing execution, at every
+  // batch size; the dispatcher prices fused interior nodes from these.
   std::vector<int64_t> op_input_rows;
 };
 
@@ -148,8 +151,19 @@ class BatchPipeline {
  private:
   friend class pipeline_internal::BatchOperator;
 
+  // Supplies rows [lo, hi) of a non-borrowed source as one owned batch.
+  using BatchFetch = std::function<StatusOr<Relation>(int64_t lo, int64_t hi)>;
+
+  // The one batch loop behind Run, RunFromCsv and RunFromReveal: resets state
+  // and stats, then feeds rows [begin, end) to slot 0 in batches of at most
+  // `batch_rows` rows (<= 0: one batch). With `borrowed` set, slot 0 reads
+  // slices of it in place; otherwise `fetch` supplies each batch as owned
+  // memory, which enters the residency accounting. A fetch error aborts.
+  StatusOr<Relation> RunBatches(int64_t begin, int64_t end, int64_t batch_rows,
+                                const Relation* borrowed, const BatchFetch& fetch);
+
   // Delivers one owned batch to the operator at `slot` (== operators_.size()
-  // appends to the output), tracking batch residency around the consume call.
+  // appends to the output), counting it resident around the consume or append.
   // Input rows are attributed to the slot's FIRST original op; a fused slot
   // reports its interior ops' rows itself via AddOpInputRows.
   void Push(size_t slot, Relation&& batch);
@@ -162,8 +176,8 @@ class BatchPipeline {
 
   Schema output_schema_;
   std::vector<std::unique_ptr<pipeline_internal::BatchOperator>> operators_;
-  // Original op index each executor slot starts at (operators_ may be shorter
-  // than the spec's op list when runs are fused).
+  // Original op index each executor slot starts at (operators_ is shorter than
+  // the spec's op list when a fused run covers several ops).
   std::vector<size_t> slot_first_op_;
   size_t num_ops_ = 0;  // spec.ops.size(); sizes stats_.op_input_rows.
   PipelineStats stats_;

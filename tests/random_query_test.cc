@@ -17,7 +17,6 @@
 #include "conclave/common/strings.h"
 #include "conclave/data/generators.h"
 #include "conclave/net/fault.h"
-#include "conclave/relational/expr.h"
 #include "conclave/relational/pipeline.h"
 #include "row_major_reference.h"
 
@@ -539,26 +538,24 @@ struct RunOutcome {
 };
 
 // One point of the differential grid. Beyond the execution-shape axes ({pool,
-// shard, batch}), the raw-speed axes (DESIGN.md §13) ride along: simd toggles
-// the CONCLAVE_SIMD dispatch knob, fused_expr the fused expression evaluator.
-// Both must be invisible in results, virtual clock, and counters at every
-// point — the harness checks every candidate against a default-knob baseline.
+// shard, batch}), the raw-speed axis (DESIGN.md §13) rides along: simd toggles
+// the CONCLAVE_SIMD dispatch knob. It must be invisible in results, virtual
+// clock, and counters at every point — the harness checks every candidate
+// against a default-knob baseline.
 struct Config {
   int pool;
   int shards;
   int64_t batch_rows;  // kMaterializeBatchRows = fusion off.
   bool simd = true;
-  bool fused_expr = true;
   // Streaming across the reveal frontier (DESIGN.md §14): false forces the
   // materializing reveal. Like every other axis, must be invisible in results,
   // clock, and counters.
   bool stream_reveal = true;
 
   std::string ToString() const {
-    return StrFormat(
-        "{pool=%d, shards=%d, batch=%lld, simd=%s, fused=%s, stream_reveal=%s}",
-        pool, shards, static_cast<long long>(batch_rows), simd ? "on" : "off",
-        fused_expr ? "on" : "off", stream_reveal ? "on" : "off");
+    return StrFormat("{pool=%d, shards=%d, batch=%lld, simd=%s, stream_reveal=%s}",
+                     pool, shards, static_cast<long long>(batch_rows),
+                     simd ? "on" : "off", stream_reveal ? "on" : "off");
   }
 };
 
@@ -569,7 +566,6 @@ RunOutcome RunPlan(const PlanSpec& spec, const Config& config,
                    const FaultPlan* fault_plan = nullptr,
                    int64_t mem_budget = 0) {
   const cpu::ScopedSimd simd(config.simd);
-  const ScopedFusedExpr fused(config.fused_expr);
   BuiltPlan built;
   BuildPlan(spec, &built);
   RunOutcome outcome;
@@ -643,7 +639,7 @@ std::string CheckConfig(const PlanSpec& spec, const Config& config) {
 }
 
 // Greedy shrink: drop ops (end first), then halve tables, while the same
-// config (including its {simd, fused-expr} axis point) still fails.
+// config (including its {simd, stream_reveal} axis point) still fails.
 PlanSpec ShrinkPlan(PlanSpec spec, const Config& config) {
   const auto fails = [&](const PlanSpec& candidate) {
     return !CheckConfig(candidate, config).empty();
@@ -687,28 +683,27 @@ PlanSpec ShrinkPlan(PlanSpec spec, const Config& config) {
 }
 
 // The sweep grid. Besides {pool, shards, batch_rows} (DESIGN.md §10), every
-// entry carries a {simd, fused-expr} knob point; the axis combos cycle across
-// the grid so each of the four {on,off}^2 points covers every batch size
+// entry carries a {simd, stream_reveal} knob point; the axis combos cycle
+// across the grid so each of the four {on,off}^2 points covers every batch size
 // without a full cross-product blow-up. The baseline always runs with default
 // knobs (both on), so every off-entry is also a cross-knob differential.
 constexpr Config kConfigs[] = {
-    // Materializing {shard, pool} sweep (the historical harness). Fused-expr
-    // is inert here (no pipelines), so only the simd axis alternates.
+    // Materializing {shard, pool} sweep (the historical harness). Streaming
+    // reveal is inert here (no pipelines), so only the simd axis alternates.
     {1, 2, kMat}, {1, 3, kMat, false}, {1, 8, kMat}, {4, 1, kMat, false},
     {4, 2, kMat}, {4, 3, kMat, false}, {4, 8, kMat},
     // Pipelined batch grid: batch_rows x shards x pool. One row per batch, a
     // prime that straddles boundaries, the default, and effectively-one-batch.
-    // The four {simd, fused} combos cycle so each batch size sees each combo,
-    // and the stream_reveal axis alternates so every batch size exercises both
-    // the streaming and the materializing reveal (the baseline streams).
-    {1, 1, 1},                  {1, 3, 1, false},
-    {4, 1, 1, true, false, false},   {4, 3, 1, false, false},
-    {1, 1, 7, false, false},    {1, 3, 7, true, true, false},
-    {4, 1, 7, false},           {4, 3, 7, true, false},
-    {1, 1, 4096, true, false},  {1, 3, 4096, false, false, false},
-    {4, 1, 4096},               {4, 3, 4096, false},
-    {1, 1, kOneBatch, false, true, false}, {1, 3, kOneBatch, true, false},
-    {4, 1, kOneBatch, false, false}, {4, 3, kOneBatch, true, true, false},
+    // The four {simd, stream_reveal} combos cycle so each batch size sees each
+    // combo, in a different order per batch size.
+    {1, 1, 1},                         {1, 3, 1, false},
+    {4, 1, 1, true, false},            {4, 3, 1, false, false},
+    {1, 1, 7, false, false},           {1, 3, 7, true, false},
+    {4, 1, 7, false},                  {4, 3, 7},
+    {1, 1, 4096, true, false},         {1, 3, 4096, false, false},
+    {4, 1, 4096},                      {4, 3, 4096, false},
+    {1, 1, kOneBatch, false},          {1, 3, kOneBatch},
+    {4, 1, kOneBatch, false, false},   {4, 3, kOneBatch, true, false},
 };
 
 // Runs one seeded plan through the full config sweep; on failure, shrinks and
@@ -904,13 +899,14 @@ void ShrinkChaos(PlanSpec& spec, FaultPlan& fault_plan, const Config& config) {
 
 // The chaos grid: {pool 1,4} x {shard 1,3} materializing, plus batch-grid
 // points so the fault axis composes with pipeline fusion — and knob-off points
-// so recovery identities also hold on the scalar / per-node / materializing-
-// reveal paths. The stream_reveal axis rides on the fused points, where the
-// corrupted-reveal schedule lands mid-stream (DESIGN.md §14).
+// so recovery identities also hold on the scalar and materializing-reveal
+// paths. The stream_reveal axis rides on the fused points, where the
+// corrupted-reveal schedule lands mid-stream (DESIGN.md §14); each batch size
+// sees simd off once and stream_reveal off once.
 constexpr Config kChaosConfigs[] = {
     {1, 1, kMat}, {1, 3, kMat, false}, {4, 1, kMat}, {4, 3, kMat},
-    {1, 3, 7, false, true}, {4, 1, 4096, true, false},
-    {4, 3, 7, true, true, false}, {1, 1, 4096, true, true, false},
+    {1, 3, 7, false}, {4, 1, 4096, false},
+    {4, 3, 7, true, false}, {1, 1, 4096, true, false},
 };
 
 // Runs one seeded (plan, fault plan) pair through the chaos grid; on failure,
@@ -1070,18 +1066,18 @@ struct SpillConfig {
 };
 
 constexpr SpillConfig kSpillConfigs[] = {
-    // Budget 3 at default knobs, then budget 16 with the {simd, fused} axis
-    // cycled so spilling also composes with the scalar / per-node paths, and
-    // the stream_reveal axis flipped on two fused points so spilling composes
-    // with both reveal paths.
+    // Budget 3 at default knobs, then budget 16 with the simd axis cycled so
+    // spilling also composes with the scalar paths, and the stream_reveal axis
+    // flipped on two fused points so spilling composes with both reveal paths;
+    // each batch size sees simd off once and stream_reveal off once.
     {{1, 1, kMat}, 3},
     {{4, 3, kMat}, 3},
     {{1, 3, 7}, 3},
-    {{4, 1, 4096, true, true, false}, 3},
+    {{4, 1, 4096, true, false}, 3},
     {{1, 1, kMat, false}, 16},
     {{4, 3, kMat}, 16},
-    {{1, 3, 7, false, false, false}, 16},
-    {{4, 1, 4096, true, false}, 16},
+    {{1, 3, 7, false, false}, 16},
+    {{4, 1, 4096, false}, 16},
 };
 
 // Runs one seeded plan through the spill grid; on failure, shrinks and reports

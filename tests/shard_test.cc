@@ -9,7 +9,6 @@
 #include "conclave/common/rng.h"
 #include "conclave/compiler/partition.h"
 #include "conclave/relational/csv.h"
-#include "conclave/relational/expr.h"
 #include "conclave/relational/ops.h"
 #include "conclave/relational/shard_ops.h"
 #include "conclave/relational/sharded.h"
@@ -417,30 +416,27 @@ TEST(ChooseShardCountTest, ExplainReportsShardAdvice) {
 }
 
 TEST(ChooseShardCountTest, ExplainReportsFusedExprAdvice) {
-  std::map<std::string, Relation> inputs;
-  api::Query query = MakeTwoPartyQuery(&inputs, 100);
-  {
-    ScopedFusedExpr on(true);
-    const auto report = query.ExplainPlan();
-    ASSERT_TRUE(report.ok());
-    EXPECT_TRUE(report->fused_expr_enabled);
-    EXPECT_NE(report->ToString().find("expr-advice:"), std::string::npos)
-        << report->ToString();
-    // Every expression group lives inside a fused chain, so its node count is
-    // bounded by the chains' and a group needs at least two nodes.
-    EXPECT_LE(report->fused_expr_nodes, report->fused_pipeline_nodes);
-    EXPECT_GE(report->fused_expr_nodes, 2 * report->fused_expr_groups);
-  }
-  {
-    ScopedFusedExpr off(false);
-    const auto report = query.ExplainPlan();
-    ASSERT_TRUE(report.ok());
-    EXPECT_FALSE(report->fused_expr_enabled);
-    EXPECT_EQ(report->fused_expr_groups, 0);
-    EXPECT_NE(report->ToString().find("expr-advice: fused evaluator off"),
-              std::string::npos)
-        << report->ToString();
-  }
+  // One local chain: filter -> multiply -> limit -> project. Its expression
+  // runs are {filter, multiply} and the lone project after the limit — a run
+  // of length 1 is a group of its own.
+  api::Query query;
+  auto pa = query.AddParty("a");
+  query.NewTable("t", {{"k"}, {"v"}}, pa, 100)
+      .Filter("v", CompareOp::kGe, 10)
+      .MultiplyConst("v3", "v", 3)
+      .Limit(40)
+      .Project({"k", "v3"})
+      .WriteToCsv("out", {pa});
+  const auto report = query.ExplainPlan();
+  ASSERT_TRUE(report.ok());
+  EXPECT_NE(report->ToString().find("expr-advice: 2 fused expression group(s) "
+                                    "over 3 node(s)"),
+            std::string::npos)
+      << report->ToString();
+  EXPECT_EQ(report->fused_pipeline_chains, 1);
+  EXPECT_EQ(report->fused_pipeline_nodes, 4);
+  EXPECT_EQ(report->fused_expr_groups, 2);
+  EXPECT_EQ(report->fused_expr_nodes, 3);
 }
 
 }  // namespace
