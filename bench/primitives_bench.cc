@@ -206,7 +206,9 @@ void RunKernelSweep(const bench::BenchFilter& filter,
                       "filter_scalar", "arith_simd", "arith_scalar",
                       "share_ingest", "rng_aesni", "rng_splitmix",
                       "chain_materialized", "chain_fused",
-                      "chain_peak_rows", "reveal_materialized", "reveal_streamed",
+                      "chain_peak_rows", "chain_filter_agg_materialized",
+                      "chain_filter_agg_fused", "filter_agg_peak_rows",
+                      "reveal_materialized", "reveal_streamed",
                       "reveal_peak_rows", "sort_in_mem", "sort_external",
                       "groupby_in_mem", "groupby_spill", "spill_peak_rows",
                       "spill_bytes"});
@@ -319,6 +321,35 @@ void RunKernelSweep(const bench::BenchFilter& filter,
     cells.push_back(fused_ran
                         ? bench::Cell::Seconds(static_cast<double>(
                               fused_pipeline.stats().peak_rows_resident))
+                        : bench::Cell::Skip());
+
+    // A/B (DESIGN.md §10): push-down's per-party partial, filter -> group-by
+    // sum, two ways — ops::Filter then ops::Aggregate (the filtered relation
+    // materializes) vs. one pipeline whose aggregate sink folds each filtered
+    // batch into its group accumulators. ~90% of rows survive and 1000 groups
+    // hash per row in both. filter_agg_peak_rows records the pipeline's peak
+    // resident rows: one batch, not the filtered relation.
+    const FilterPredicate agg_predicate =
+        FilterPredicate::ColumnVsLiteral(0, CompareOp::kLt, 900);
+    const std::vector<int> agg_group = {2};
+    cells.push_back(timed("chain_filter_agg_materialized", [&] {
+      benchmark::DoNotOptimize(ops::Aggregate(ops::Filter(rel, agg_predicate),
+                                              agg_group, AggKind::kSum,
+                                              /*agg_column=*/1, "s"));
+    }));
+    PipelineSpec agg_spec;
+    agg_spec.input_schema = rel.schema();
+    agg_spec.ops.push_back(PipelineOp::Filter(agg_predicate));
+    agg_spec.ops.push_back(
+        PipelineOp::Aggregate(agg_group, AggKind::kSum, /*agg_column=*/1, "s"));
+    BatchPipeline agg_pipeline(agg_spec);
+    const bool agg_ran = filter.Enabled("chain_filter_agg_fused");
+    cells.push_back(timed("chain_filter_agg_fused", [&] {
+      benchmark::DoNotOptimize(agg_pipeline.Run(rel, kDefaultBatchRows));
+    }));
+    cells.push_back(agg_ran
+                        ? bench::Cell::Seconds(static_cast<double>(
+                              agg_pipeline.stats().peak_rows_resident))
                         : bench::Cell::Skip());
 
     // A/B (DESIGN.md §14): the same chain consuming an MPC reveal two ways —

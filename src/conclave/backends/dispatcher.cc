@@ -1272,7 +1272,7 @@ StatusOr<ExecutionResult> JobGraphExecutor::Run() {
   if (state_.batch_rows > 0) {
     for (const std::vector<const ir::OpNode*>& chain : compiler::PipelineChains(
              std::span<const ir::OpNode* const>(topo_.data(), topo_.size()),
-             state_.shard_count)) {
+             state_.shard_count, state_.mem_budget_rows)) {
       const int head_topo = TopoIndexOf(chain.front()->id);
       NodeExec& head = execs_[static_cast<size_t>(head_topo)];
       for (const ir::OpNode* member : chain) {

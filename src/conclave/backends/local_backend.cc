@@ -309,6 +309,18 @@ StatusOr<PipelineOp> ResolvePipelineOp(const Schema& input_schema,
           input_schema.IndicesOf(node.Params<ir::DistinctParams>().columns));
       return PipelineOp::DistinctOnSorted(std::move(columns));
     }
+    case ir::OpKind::kAggregate: {
+      const auto& params = node.Params<ir::AggregateParams>();
+      CONCLAVE_ASSIGN_OR_RETURN(std::vector<int> group,
+                                input_schema.IndicesOf(params.group_columns));
+      int agg_column = 0;
+      if (params.kind != AggKind::kCount) {
+        CONCLAVE_ASSIGN_OR_RETURN(agg_column,
+                                  input_schema.IndexOf(params.agg_column));
+      }
+      return PipelineOp::Aggregate(std::move(group), params.kind, agg_column,
+                                   params.output_name);
+    }
     default:
       return InternalError(
           StrFormat("op kind %s is not pipeline-fusible", ir::OpKindName(node.kind)));

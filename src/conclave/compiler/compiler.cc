@@ -128,10 +128,12 @@ StatusOr<Compilation> Compile(ir::Dag& dag, const CompilerOptions& options) {
     AnnotateShardAdvice(result.cost_report, result.plan,
                         options.planning_cost_model, pool, hinted_rows);
     // Pipeline-fusion advice at the advised shard count and the configured (or
-    // env-default) batch size; the dispatcher fuses exactly these chains.
+    // env-default) batch size and memory budget; the dispatcher fuses exactly
+    // these chains.
+    const int64_t mem_budget_rows = DefaultMemBudgetRows();
     AnnotatePipelineAdvice(result.cost_report, dag,
                            result.cost_report.recommended_shard_count,
-                           DefaultBatchRows());
+                           DefaultBatchRows(), mem_budget_rows);
     // Fault-injection advice from the same CONCLAVE_FAULT_PLAN knob the
     // dispatcher resolves at run time; a malformed value fails loud there —
     // explain treats it as off.
@@ -143,7 +145,7 @@ StatusOr<Compilation> Compile(ir::Dag& dag, const CompilerOptions& options) {
     // resolves at run time (DESIGN.md §12); with exact cardinalities the
     // estimate equals the metered spill charge.
     AnnotateSpillAdvice(result.cost_report, dag, options.planning_cost_model,
-                        DefaultMemBudgetRows(), options.planning_cardinality);
+                        mem_budget_rows, options.planning_cardinality);
   }
 
   CONCLAVE_LOG(kInfo, "compiled query: %zu transformations, %zu jobs",

@@ -738,7 +738,8 @@ std::string PlanCostReport::ToString() const {
   if (pipeline_batch_rows > 0) {
     out += StrFormat(
         "pipeline-advice: %d fused chain(s) over %d node(s), longest %d "
-        "(batch %lld rows; resident rows per shard <= depth x batch)\n",
+        "(batch %lld rows; resident rows per shard <= depth x batch, plus "
+        "an aggregate tail's groups)\n",
         fused_pipeline_chains, fused_pipeline_nodes, longest_pipeline_chain,
         static_cast<long long>(pipeline_batch_rows));
     out += StrFormat(
@@ -795,7 +796,8 @@ void AnnotateShardAdvice(PlanCostReport& report, const ExecutionPlan& plan,
       ChooseShardCount(plan, model, pool_parallelism, total_input_rows);
 }
 
-bool PipelineFusibleOp(const ir::OpNode& node, int shard_count) {
+bool PipelineFusibleOp(const ir::OpNode& node, int shard_count,
+                       int64_t mem_budget_rows) {
   if (node.exec_mode != ir::ExecMode::kLocal || node.inputs.size() != 1) {
     return false;
   }
@@ -804,6 +806,12 @@ bool PipelineFusibleOp(const ir::OpNode& node, int shard_count) {
     case ir::OpKind::kProject:
     case ir::OpKind::kArithmetic:
       return true;
+    case ir::OpKind::kAggregate:
+      // The streaming sink folds into O(groups) accumulators and emits at end
+      // of stream, so it can only be a chain's TAIL (PipelineChains enforces
+      // this). Sharded, the exchange-based kernel keeps the group split;
+      // under a budget, the spilling kernel keeps its residency bound.
+      return shard_count <= 1 && mem_budget_rows <= 0;
     case ir::OpKind::kLimit:
       // Unsharded, the streaming cursor is the whole-relation prefix. Sharded,
       // each shard's cursor keeps its local `count`-row prefix — a superset of
@@ -865,13 +873,16 @@ bool PipelineFusibleOp(const ir::OpNode& node, int shard_count) {
 
 // True when `node` may join a fused chain only as its last member: the sharded
 // limit's global-prefix trim runs at assembly, over the finished per-shard
-// outputs, so nothing can stream past it.
+// outputs, and the aggregate sink emits only at end of stream, so nothing can
+// stream past either.
 static bool PipelineChainTerminator(const ir::OpNode& node, int shard_count) {
-  return node.kind == ir::OpKind::kLimit && shard_count > 1;
+  return (node.kind == ir::OpKind::kLimit && shard_count > 1) ||
+         node.kind == ir::OpKind::kAggregate;
 }
 
 std::vector<std::vector<const ir::OpNode*>> PipelineChains(
-    std::span<const ir::OpNode* const> topo, int shard_count) {
+    std::span<const ir::OpNode* const> topo, int shard_count,
+    int64_t mem_budget_rows) {
   // Consuming-edge counts and the unique consumer, within `topo` only (detached
   // consumers never execute, so they do not pin a value as materialized).
   std::unordered_map<int, int> uses;
@@ -888,7 +899,8 @@ std::vector<std::vector<const ir::OpNode*>> PipelineChains(
   std::vector<std::vector<const ir::OpNode*>> chains;
   std::unordered_set<int> claimed;
   for (const ir::OpNode* node : topo) {
-    if (claimed.count(node->id) != 0 || !PipelineFusibleOp(*node, shard_count)) {
+    if (claimed.count(node->id) != 0 ||
+        !PipelineFusibleOp(*node, shard_count, mem_budget_rows)) {
       continue;
     }
     std::vector<const ir::OpNode*> chain{node};
@@ -899,7 +911,7 @@ std::vector<std::vector<const ir::OpNode*>> PipelineChains(
         break;  // Zero or several consuming edges: the value must materialize.
       }
       const ir::OpNode* next = it->second;
-      if (!PipelineFusibleOp(*next, shard_count) ||
+      if (!PipelineFusibleOp(*next, shard_count, mem_budget_rows) ||
           next->exec_party != tail->exec_party) {
         break;
       }
@@ -918,7 +930,8 @@ std::vector<std::vector<const ir::OpNode*>> PipelineChains(
 }
 
 void AnnotatePipelineAdvice(PlanCostReport& report, const ir::Dag& dag,
-                            int shard_count, int64_t batch_rows) {
+                            int shard_count, int64_t batch_rows,
+                            int64_t mem_budget_rows) {
   report.pipeline_batch_rows = batch_rows > 0 ? batch_rows : 0;
   report.fused_pipeline_chains = 0;
   report.fused_pipeline_nodes = 0;
@@ -948,7 +961,7 @@ void AnnotatePipelineAdvice(PlanCostReport& report, const ir::Dag& dag,
       ++uses[in->id];
     }
   }
-  for (const auto& chain : PipelineChains(topo, shard_count)) {
+  for (const auto& chain : PipelineChains(topo, shard_count, mem_budget_rows)) {
     ++report.fused_pipeline_chains;
     report.fused_pipeline_nodes += static_cast<int>(chain.size());
     report.longest_pipeline_chain =

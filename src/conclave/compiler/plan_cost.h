@@ -156,31 +156,40 @@ void AnnotateShardAdvice(PlanCostReport& report, const ExecutionPlan& plan,
 // --- Pipeline fusion (push-based batch pipelines, DESIGN.md §10) --------------------
 
 // True when `node` can be a member of a fused streaming chain: a single-input
-// cleartext-local operator whose kernel consumes and emits batches without
-// materializing. A sharded limit (shard_count > 1) fuses only as a chain's
+// cleartext-local operator whose kernel consumes batches without materializing
+// its input. A sharded limit (shard_count > 1) fuses only as a chain's
 // TAIL: each shard streams its local count-row prefix and the assembly trims
 // the concatenation to the global prefix (PipelineChains enforces the
-// tail-only rule). Sharded distinct (cross-shard dedup) keeps its
-// exchange-based kernel and breaks chains; unsharded distinct fuses when an
-// upstream walk through order-preserving ops (filter / limit / project /
-// arithmetic that does not shadow a distinct column) reaches an ascending sort
-// whose column list the distinct columns prefix — the sortedness proof for the
-// streaming adjacent-run dedup.
-bool PipelineFusibleOp(const ir::OpNode& node, int shard_count);
+// tail-only rule). An aggregate fuses only as a TAIL too — the pipeline's
+// sink folds batches into O(groups) accumulators and emits at end of stream —
+// and only unsharded (shard_count <= 1) with an unbounded memory budget
+// (mem_budget_rows <= 0): otherwise the exchange-based or spilling kernel
+// runs, with its SpillStats, exactly as unfused. Sharded distinct (cross-shard
+// dedup) keeps its exchange-based kernel and breaks chains; unsharded distinct
+// fuses when an upstream walk through order-preserving ops (filter / limit /
+// project / arithmetic that does not shadow a distinct column) reaches an
+// ascending sort whose column list the distinct columns prefix — the
+// sortedness proof for the streaming adjacent-run dedup.
+bool PipelineFusibleOp(const ir::OpNode& node, int shard_count,
+                       int64_t mem_budget_rows);
 
 // Maximal chains (length >= 2) of fusible nodes within `topo`, where every
 // interior link is the producer's only consuming edge inside `topo` and both
 // ends run at the same party. The dispatcher executes exactly these chains as
 // one BatchPipeline per shard; the explain annotation prices the same chains —
 // one decision procedure, two callers, so the planner can never disagree with
-// the runtime about what fuses.
+// the runtime about what fuses. `mem_budget_rows` is the resolved
+// per-operator budget (<= 0 = unbounded).
 std::vector<std::vector<const ir::OpNode*>> PipelineChains(
-    std::span<const ir::OpNode* const> topo, int shard_count);
+    std::span<const ir::OpNode* const> topo, int shard_count,
+    int64_t mem_budget_rows);
 
 // Fills the report's pipeline-fusion advice from the placed DAG at the given
-// shard count and batch size (batch_rows <= 0 = fusion disabled).
+// shard count, batch size (batch_rows <= 0 = fusion disabled) and memory
+// budget (<= 0 = unbounded).
 void AnnotatePipelineAdvice(PlanCostReport& report, const ir::Dag& dag,
-                            int shard_count, int64_t batch_rows);
+                            int shard_count, int64_t batch_rows,
+                            int64_t mem_budget_rows);
 
 // Fills the report's fault-injection advice from the resolved FaultPlan (the
 // dispatcher resolves the same CONCLAVE_FAULT_PLAN knob at run time) and the

@@ -40,13 +40,13 @@
 namespace conclave {
 
 // True for the op kinds the fused evaluator can compile (filter / project /
-// arithmetic). Limit and distinct-on-sorted carry cross-batch state and stay
-// standalone operators.
+// arithmetic). Limit, distinct-on-sorted and the aggregate sink carry
+// cross-batch state and stay standalone operators.
 bool FusibleExprOp(const PipelineOp& op);
 
 // One executor slot of a pipeline: ops [begin, end) of the spec. A slot of
-// fusible ops runs as one FusedExprProgram; a limit or distinct-on-sorted slot
-// holds exactly that op and runs as its standalone streaming operator.
+// fusible ops runs as one FusedExprProgram; a limit, distinct-on-sorted or
+// aggregate slot holds exactly that op and runs as its standalone operator.
 struct ExprSlot {
   size_t begin = 0;
   size_t end = 0;

@@ -4,10 +4,12 @@
 #include <limits>
 #include <utility>
 
+#include "conclave/common/check.h"
 #include "conclave/common/env.h"
 #include "conclave/mpc/reveal_source.h"
 #include "conclave/relational/csv.h"
 #include "conclave/relational/expr.h"
+#include "conclave/relational/group_fold.h"
 
 namespace conclave {
 
@@ -55,6 +57,17 @@ PipelineOp PipelineOp::DistinctOnSorted(std::vector<int> columns) {
   return op;
 }
 
+PipelineOp PipelineOp::Aggregate(std::vector<int> group_columns, AggKind kind,
+                                 int agg_column, std::string output_name) {
+  PipelineOp op;
+  op.kind = Kind::kAggregate;
+  op.columns = std::move(group_columns);
+  op.agg_kind = kind;
+  op.agg_column = agg_column;
+  op.output_name = std::move(output_name);
+  return op;
+}
+
 namespace {
 
 // Materializes rows [lo, hi) of `src` as an owned batch.
@@ -74,10 +87,11 @@ namespace pipeline_internal {
 
 // The consume operator contract. An operator receives owned batches (or, for
 // the pipeline head, borrowed slices of the source), emits output batches
-// downstream, and may keep only O(1) rows of cross-batch state. Subclasses must
-// be batch-invariant: concatenating the emitted batches reproduces the matching
-// ops.h kernel bit for bit at every batch size. No operator buffers whole
-// batches, so end of stream needs no drain step.
+// downstream, and may keep only O(1) rows of cross-batch state — except the
+// aggregate sink, a chain's tail, which keeps O(groups) accumulators and emits
+// only in its end-of-stream Finish step. Subclasses must be batch-invariant:
+// concatenating the emitted batches reproduces the matching ops.h kernel bit
+// for bit at every batch size. No operator buffers whole batches.
 class BatchOperator {
  public:
   // `index` is the operator's executor SLOT (a fused run is one slot), not an
@@ -95,6 +109,9 @@ class BatchOperator {
   virtual void ConsumeSlice(const Relation& src, int64_t lo, int64_t hi) = 0;
   // Consumes one owned batch.
   virtual void Consume(Relation&& batch) { ConsumeSlice(batch, 0, batch.NumRows()); }
+  // End of stream: every source batch has been consumed. Streaming operators
+  // have nothing left; the aggregate sink emits its groups here.
+  virtual void Finish() {}
 
  protected:
   void Emit(Relation&& batch) { pipeline_->Push(index_ + 1, std::move(batch)); }
@@ -243,6 +260,34 @@ class FusedExprOperator : public BatchOperator {
   std::vector<int64_t> op_rows_;  // Per-batch relative-op row counts; reused.
 };
 
+// A chain's tail group-by: folds every batch into per-group accumulators (the
+// GroupFold ops::Aggregate uses, so the emitted groups are ops::Aggregate's
+// bit for bit) and emits them key-sorted, as one batch, at end of stream.
+// State is O(groups); nothing is emitted before Finish.
+class AggregateSink : public BatchOperator {
+ public:
+  AggregateSink(BatchPipeline* pipeline, size_t index, Schema output_schema,
+                const PipelineOp& op)
+      : BatchOperator(pipeline, index, std::move(output_schema)),
+        fold_(op.agg_kind, op.columns, op.agg_column) {}
+
+  void Reset() override { fold_.Clear(); }
+
+  void ConsumeSlice(const Relation& src, int64_t lo, int64_t hi) override {
+    fold_.Add(src, lo, hi);
+  }
+
+  void Finish() override {
+    Relation groups = fold_.Emit(output_schema());
+    if (groups.NumRows() > 0) {
+      Emit(std::move(groups));
+    }
+  }
+
+ private:
+  ops::GroupFold fold_;
+};
+
 }  // namespace
 }  // namespace pipeline_internal
 
@@ -265,6 +310,8 @@ Schema BatchPipeline::DeriveSchema(const Schema& input, const PipelineOp& op) {
       defs.emplace_back(op.arith.result_name);
       return Schema(std::move(defs));
     }
+    case PipelineOp::Kind::kAggregate:
+      return ops::AggregateOutputSchema(input, op.columns, op.output_name);
   }
   return input;
 }
@@ -289,6 +336,11 @@ BatchPipeline::BatchPipeline(const PipelineSpec& spec) {
       out = DeriveSchema(schema, op);
       built = std::make_unique<pipeline_internal::LimitOperator>(this, i, out,
                                                                  op.limit_count);
+    } else if (op.kind == PipelineOp::Kind::kAggregate) {
+      CONCLAVE_CHECK_EQ(slot.end, spec.ops.size());  // A sink ends the chain.
+      out = DeriveSchema(schema, op);
+      built = std::make_unique<pipeline_internal::AggregateSink>(this, i, out, op);
+      tail_is_sink_ = true;
     } else {
       out = DeriveSchema(schema, op);
       built = std::make_unique<pipeline_internal::DistinctOnSortedOperator>(
@@ -348,7 +400,10 @@ StatusOr<Relation> BatchPipeline::RunBatches(int64_t begin, int64_t end,
   output_ = Relation{output_schema_};
   // Every streaming operator's output is at most its input, so the source row
   // count bounds the output: one reservation, no quadratic regrowth on append.
-  output_.Reserve(rows);
+  // A sink's single batch of groups needs none.
+  if (!tail_is_sink_) {
+    output_.Reserve(rows);
+  }
   const int64_t step = batch_rows <= 0 ? std::max<int64_t>(rows, 1) : batch_rows;
   for (int64_t lo = begin; lo < end; lo += step) {
     const int64_t hi = std::min(end, lo + step);
@@ -363,6 +418,9 @@ StatusOr<Relation> BatchPipeline::RunBatches(int64_t begin, int64_t end,
       CONCLAVE_ASSIGN_OR_RETURN(Relation batch, fetch(lo, hi));
       Push(0, std::move(batch));
     }
+  }
+  for (auto& op : operators_) {
+    op->Finish();
   }
   return std::move(output_);
 }

@@ -1,4 +1,4 @@
-// Push-based batch pipeline for fused chains of non-blocking cleartext operators.
+// Push-based batch pipeline for fused chains of cleartext operators.
 //
 // A BatchPipeline streams fixed-size row batches from a materialized source
 // relation through a chain of streaming operators (filter / project / arithmetic /
@@ -10,12 +10,22 @@
 // state regardless of input size — the high-water marks in PipelineStats record
 // exactly that, and tests assert it.
 //
+// Aggregate sink: a chain may END in a group-by aggregate. The sink folds each
+// batch into per-group accumulators (relational/group_fold.h, the state
+// ops::Aggregate itself folds into) and emits the key-sorted groups at the end
+// of stream, in the Finish step that runs once every source batch has been
+// pushed. Its state is O(groups), not O(input rows); the output has one row per
+// group, so the pipeline reserves nothing source-sized for it. The planner
+// admits an aggregate only as a chain's tail, only unsharded, and only under
+// an unbounded memory budget (compiler::PipelineChains): a sharded aggregate
+// keeps its exchange-based kernel and a budgeted one its spilling kernel.
+//
 // Batch-invariance contract: for every operator and every batch size (including
 // one row per batch and the whole relation in one batch), the concatenation of the
 // emitted batches is bit-identical — values AND row order — to the corresponding
 // materializing kernel in ops.h applied to the concatenated input. The dispatcher
 // relies on this to extend the {pool, shard} determinism contract with a batch
-// axis (DESIGN.md §10); blocking operators (sort, join, aggregate, window, pad)
+// axis (DESIGN.md §10); the other blocking operators (sort, join, window, pad)
 // never enter a pipeline and keep materializing through ops.h.
 //
 // Streaming limit deliberately does NOT early-exit: upstream operators consume
@@ -27,7 +37,7 @@
 // relational/expr.h). Every maximal run of adjacent filter / project /
 // arithmetic ops — a lone one included — becomes ONE operator, a
 // FusedExprProgram evaluated in a single register-resident pass per batch;
-// limit and distinct-on-sorted are the only standalone operators.
+// limit, distinct-on-sorted and the aggregate sink are standalone operators.
 // PipelineStats::op_input_rows stays indexed by ORIGINAL op position: fused
 // slots report their interior ops' per-op input rows through the program's
 // accounting, so the dispatcher prices every node as if it had materialized.
@@ -37,6 +47,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "conclave/common/status.h"
@@ -67,13 +78,23 @@ int64_t DefaultBatchRows();
 // One resolved streaming operator of a pipeline (column references are
 // pre-resolved indices against the stage's input schema, as in ops.h).
 struct PipelineOp {
-  enum class Kind { kFilter, kProject, kArithmetic, kLimit, kDistinctOnSorted };
+  enum class Kind {
+    kFilter,
+    kProject,
+    kArithmetic,
+    kLimit,
+    kDistinctOnSorted,
+    kAggregate,
+  };
 
   Kind kind = Kind::kFilter;
   FilterPredicate filter;         // kFilter.
-  std::vector<int> columns;       // kProject / kDistinctOnSorted.
+  std::vector<int> columns;       // kProject / kDistinctOnSorted; kAggregate's group.
   ArithSpec arith;                // kArithmetic.
   int64_t limit_count = 0;        // kLimit.
+  AggKind agg_kind = AggKind::kSum;  // kAggregate.
+  int agg_column = 0;                // kAggregate (ignored for kCount).
+  std::string output_name;           // kAggregate.
 
   static PipelineOp Filter(const FilterPredicate& predicate);
   static PipelineOp Project(std::vector<int> columns);
@@ -82,6 +103,9 @@ struct PipelineOp {
   // Requires the pipeline's input at this stage to be sorted ascending
   // (lexicographically) by a column list of which `columns` is a prefix.
   static PipelineOp DistinctOnSorted(std::vector<int> columns);
+  // ops::Aggregate as a sink; only valid as the LAST op of a spec.
+  static PipelineOp Aggregate(std::vector<int> group_columns, AggKind kind,
+                              int agg_column, std::string output_name);
 };
 
 // A fully resolved pipeline: the source schema plus the operator chain. Cheap to
@@ -96,6 +120,8 @@ struct PipelineSpec {
 // inter-slot batches, and the batch being appended to the output (a borrowed
 // source and the materialized output exist regardless of batching); a
 // non-blocking chain must keep them O(depth x batch_rows), never O(input rows).
+// An aggregate sink's group table is O(groups) state, not a batch; its one
+// emitted batch (one row per group) counts while it is appended.
 struct PipelineStats {
   int64_t batches_pushed = 0;       // Source batches entering the pipeline.
   int64_t rows_pushed = 0;          // Source rows entering the pipeline.
@@ -159,6 +185,8 @@ class BatchPipeline {
   // `batch_rows` rows (<= 0: one batch). With `borrowed` set, slot 0 reads
   // slices of it in place; otherwise `fetch` supplies each batch as owned
   // memory, which enters the residency accounting. A fetch error aborts.
+  // After the last batch every slot, in chain order, runs its end-of-stream
+  // Finish step (only the aggregate sink emits there).
   StatusOr<Relation> RunBatches(int64_t begin, int64_t end, int64_t batch_rows,
                                 const Relation* borrowed, const BatchFetch& fetch);
 
@@ -180,6 +208,9 @@ class BatchPipeline {
   // the spec's op list when a fused run covers several ops).
   std::vector<size_t> slot_first_op_;
   size_t num_ops_ = 0;  // spec.ops.size(); sizes stats_.op_input_rows.
+  // The chain ends in an aggregate sink: its output is one row per group, so
+  // RunBatches reserves no source-sized output.
+  bool tail_is_sink_ = false;
   PipelineStats stats_;
   int64_t live_batches_ = 0;
   int64_t live_rows_ = 0;

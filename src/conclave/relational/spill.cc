@@ -471,7 +471,7 @@ class CombineProcessor {
 
   void Emit() {
     if (finalize_mean_) {
-      // Same truncating division as ops.cc's Accumulator::Finalize; the exact
+      // Same truncating division as group_fold.h's Accumulator::Finalize; the exact
       // (sum, count) totals make the quotient chunking-invariant.
       const int64_t sum = current_[group_cols_];
       const int64_t count = current_[group_cols_ + 1];

@@ -4,10 +4,13 @@
 // and the composition of all extension features in one run.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 
 #include "conclave/api/conclave.h"
+#include "conclave/compiler/plan_cost.h"
 #include "conclave/data/generators.h"
+#include "conclave/relational/pipeline.h"
 #include "conclave/relational/sharded.h"
 
 namespace conclave {
@@ -220,6 +223,7 @@ TEST(DispatcherTest, AllExtensionsComposeInOneRun) {
 struct ExecutedPlan {
   backends::ExecutionResult result;
   std::vector<std::pair<std::string, double>> node_seconds;
+  int fused_aggregate_tails = 0;  // Chains ending in an aggregate sink.
 };
 
 // Two banks' (k, v) tables; a selective filter, then a grouped sum for the
@@ -294,6 +298,82 @@ TEST(DispatcherTest, PushDownRunsLikeTheHandWrittenPlan) {
   const auto by_hand_malicious = RunBankFilterSum(false, CostModel{}, malicious);
   ASSERT_TRUE(by_hand_malicious.ok()) << by_hand_malicious.status().ToString();
   ExpectSameRun(*pushed_malicious, *by_hand_malicious);
+}
+
+// Push-down leaves a filter -> aggregate partial at each bank; with an
+// unbounded budget it runs as one fused pipeline whose aggregate sink folds
+// batches into group accumulators. Rows, the virtual clock, every node's
+// seconds and the counters must not depend on whether, or at what batch size,
+// the chain fuses. Under a budget the aggregate keeps its spilling kernel and
+// the clock moves by exactly the priced spill.
+TEST(DispatcherTest, FusedFilterAggregateTailMatchesMaterializing) {
+  auto run = [](int64_t batch_rows, int64_t mem_budget_rows) {
+    Query query;
+    Party regulator = query.AddParty("regulator");
+    Party bank1 = query.AddParty("bank1");
+    Party bank2 = query.AddParty("bank2");
+    Table s1 = query.NewTable("s1", {{"k"}, {"v"}}, bank1);
+    Table s2 = query.NewTable("s2", {{"k"}, {"v"}}, bank2);
+    query.Concat({s1, s2})
+        .Filter("v", CompareOp::kGe, 10)
+        .Aggregate("total", AggKind::kSum, {"k"}, "v")
+        .WriteToCsv("out", {regulator});
+    std::map<std::string, Relation> inputs;
+    inputs["s1"] = data::UniformInts(3000, {"k", "v"}, 40, /*seed=*/84);
+    inputs["s2"] = data::UniformInts(2000, {"k", "v"}, 40, /*seed=*/85);
+    auto result = query.Run(inputs, {}, CostModel{}, /*seed=*/42,
+                            /*pool_parallelism=*/2, /*shard_count=*/1,
+                            batch_rows, std::nullopt, mem_budget_rows);
+    CONCLAVE_CHECK(result.ok());
+    // The per-bank chains the dispatcher stamped (same predicate it runs).
+    const std::vector<ir::OpNode*> order = query.dag().TopoOrder();
+    const std::vector<const ir::OpNode*> topo(order.begin(), order.end());
+    ExecutedPlan plan;
+    plan.fused_aggregate_tails = 0;
+    if (batch_rows > 0) {
+      for (const auto& chain : compiler::PipelineChains(
+               topo, /*shard_count=*/1, std::max<int64_t>(0, mem_budget_rows))) {
+        plan.fused_aggregate_tails +=
+            chain.back()->kind == ir::OpKind::kAggregate ? 1 : 0;
+      }
+    }
+    for (const ir::OpNode* node : topo) {
+      plan.node_seconds.emplace_back(ir::OpKindName(node->kind),
+                                     result->node_seconds.at(node->id));
+    }
+    plan.result = std::move(*result);
+    return plan;
+  };
+
+  const ExecutedPlan baseline = run(kMaterializeBatchRows, /*mem_budget_rows=*/-1);
+  ASSERT_GT(baseline.result.outputs.at("out").NumRows(), 0);
+  EXPECT_EQ(baseline.fused_aggregate_tails, 0);
+  for (int64_t batch_rows : {int64_t{1}, kDefaultBatchRows}) {
+    const ExecutedPlan fused = run(batch_rows, /*mem_budget_rows=*/-1);
+    EXPECT_EQ(fused.fused_aggregate_tails, 2) << "batch_rows=" << batch_rows;
+    ExpectSameRun(fused, baseline);
+    const CostCounters& got = fused.result.counters;
+    const CostCounters& want = baseline.result.counters;
+    EXPECT_EQ(got.cleartext_records, want.cleartext_records);
+    EXPECT_EQ(got.network_bytes, want.network_bytes);
+    EXPECT_EQ(got.network_rounds, want.network_rounds);
+    EXPECT_EQ(got.mpc_multiplications, want.mpc_multiplications);
+    EXPECT_EQ(got.mpc_comparisons, want.mpc_comparisons);
+  }
+
+  // 3000 and 2000 rows over a 256-row budget: both per-bank aggregates spill.
+  for (int64_t batch_rows : {kMaterializeBatchRows, int64_t{1}, kDefaultBatchRows}) {
+    const ExecutedPlan budgeted = run(batch_rows, /*mem_budget_rows=*/256);
+    EXPECT_EQ(budgeted.fused_aggregate_tails, 0) << "batch_rows=" << batch_rows;
+    EXPECT_TRUE(budgeted.result.outputs.at("out").RowsEqual(
+        baseline.result.outputs.at("out")));
+    EXPECT_GT(budgeted.result.spill_report.spill_seconds, 0.0);
+    EXPECT_GT(budgeted.result.spill_report.stats.spilled_rows, 0);
+    EXPECT_EQ(budgeted.result.virtual_seconds,
+              baseline.result.virtual_seconds +
+                  budgeted.result.spill_report.spill_seconds)
+        << "batch_rows=" << batch_rows;
+  }
 }
 
 // N sharded consumers of one cleartext value used to take one task-owned

@@ -2,9 +2,10 @@
 // operator against its materializing ops.h kernel across a batch-size grid with
 // boundary edge cases (0-row inputs, 1-row batches, limits cut mid-batch,
 // distinct runs spanning batch boundaries), bounded-memory high-water marks
-// proving O(depth x batch) residency, the CONCLAVE_BATCH_ROWS knob, and
+// proving O(depth x batch) residency, the CONCLAVE_BATCH_ROWS knob,
 // end-to-end {batch} invariance of a fused chain feeding a blocking operator
-// through the public Query API.
+// through the public Query API, and the aggregate sink that may end a chain
+// against ops::Filter / ops::Aggregate.
 #include "conclave/relational/pipeline.h"
 
 #include <gtest/gtest.h>
@@ -19,6 +20,7 @@
 #include "conclave/data/generators.h"
 #include "conclave/mpc/reveal_source.h"
 #include "conclave/mpc/share.h"
+#include "conclave/relational/csv.h"
 #include "conclave/relational/expr.h"
 #include "conclave/relational/ops.h"
 #include "conclave/relational/relation.h"
@@ -754,6 +756,206 @@ TEST(RevealStreamTest, QueryGridBitIdentical) {
       }
     }
   }
+}
+
+// --- Aggregate sink (a group-by ending a chain) -------------------------------
+
+const AggKind kAllAggKinds[] = {AggKind::kSum, AggKind::kCount, AggKind::kMin,
+                                AggKind::kMax, AggKind::kMean};
+
+// One key, two keys, and the global group.
+const std::vector<std::vector<int>> kGroupings = {{0}, {0, 1}, {}};
+
+// Runs `pre` then an aggregate sink over `input` at every grid batch size and
+// checks it against `expected` (the composed ops.h kernels): rows, schema, and
+// per-op input rows equal to the kernels' intermediate counts `want_rows`.
+void ExpectSinkMatches(const Relation& input, std::vector<PipelineOp> pre,
+                       const PipelineOp& aggregate, const Relation& expected,
+                       const std::vector<int64_t>& want_rows) {
+  PipelineSpec spec;
+  spec.input_schema = input.schema();
+  spec.ops = std::move(pre);
+  spec.ops.push_back(aggregate);
+  for (int64_t batch_rows : kBatchGrid) {
+    BatchPipeline pipeline(spec);
+    const Relation got = pipeline.Run(input, batch_rows);
+    EXPECT_TRUE(got.RowsEqual(expected))
+        << "batch_rows=" << batch_rows << " kind=" << AggKindName(aggregate.agg_kind)
+        << " keys=" << aggregate.columns.size() << ": got " << got.NumRows()
+        << " rows, want " << expected.NumRows();
+    EXPECT_EQ(got.schema().ToString(), expected.schema().ToString())
+        << "batch_rows=" << batch_rows;
+    EXPECT_EQ(pipeline.stats().op_input_rows, want_rows)
+        << "batch_rows=" << batch_rows << " kind=" << AggKindName(aggregate.agg_kind);
+  }
+}
+
+// Filter -> aggregate (push-down's per-party partial) against ops::Filter then
+// ops::Aggregate, for every AggKind and every grouping.
+void ExpectFilterAggregateMatches(const Relation& input,
+                                  const FilterPredicate& predicate,
+                                  int agg_column) {
+  const Relation filtered = ops::Filter(input, predicate);
+  for (const std::vector<int>& group : kGroupings) {
+    for (AggKind kind : kAllAggKinds) {
+      ExpectSinkMatches(
+          input, {PipelineOp::Filter(predicate)},
+          PipelineOp::Aggregate(group, kind, agg_column, "agg"),
+          ops::Aggregate(filtered, group, kind, agg_column, "agg"),
+          {input.NumRows(), filtered.NumRows()});
+    }
+  }
+}
+
+TEST(AggregateSinkTest, FilterAggregateMatchesComposedKernels) {
+  const Relation input = data::UniformInts(1500, {"k", "j", "v"}, 12, /*seed=*/91);
+  ExpectFilterAggregateMatches(
+      input, FilterPredicate::ColumnVsLiteral(2, CompareOp::kGe, 4), /*agg_column=*/2);
+}
+
+TEST(AggregateSinkTest, ProjectArithmeticAggregateMatchesComposedKernels) {
+  const Relation input = data::UniformInts(900, {"a", "b", "c"}, 30, /*seed=*/92);
+  ArithSpec sub;  // d = c - b (negatives appear).
+  sub.kind = ArithKind::kSub;
+  sub.lhs_column = 2;
+  sub.rhs_is_column = true;
+  sub.rhs_column = 1;
+  sub.result_name = "d";
+  // Project to (b, a, d): the sink groups by the reordered columns and folds
+  // the computed one.
+  const std::vector<int> columns = {1, 0, 3};
+  Relation projected = ops::Project(ops::Arithmetic(input, sub), columns);
+  for (const std::vector<int>& group : kGroupings) {
+    for (AggKind kind : kAllAggKinds) {
+      ExpectSinkMatches(input,
+                        {PipelineOp::Arithmetic(sub), PipelineOp::Project(columns)},
+                        PipelineOp::Aggregate(group, kind, /*agg_column=*/2, "agg"),
+                        ops::Aggregate(projected, group, kind, 2, "agg"),
+                        {input.NumRows(), input.NumRows(), input.NumRows()});
+    }
+  }
+}
+
+TEST(AggregateSinkTest, LoneAggregateMatchesKernel) {
+  const Relation input = data::UniformInts(300, {"k", "j", "v"}, 7, /*seed=*/93);
+  for (const std::vector<int>& group : kGroupings) {
+    for (AggKind kind : kAllAggKinds) {
+      ExpectSinkMatches(input, {}, PipelineOp::Aggregate(group, kind, 2, "agg"),
+                        ops::Aggregate(input, group, kind, 2, "agg"),
+                        {input.NumRows()});
+    }
+  }
+}
+
+TEST(AggregateSinkTest, EmptyInputAndAllRejectingFilter) {
+  // No row reaches the sink: no group is emitted, the global one included,
+  // exactly as ops::Aggregate over an empty relation.
+  const Relation empty{Schema::Of({"k", "j", "v"})};
+  ExpectFilterAggregateMatches(
+      empty, FilterPredicate::ColumnVsLiteral(2, CompareOp::kGe, 0), 2);
+  const Relation input = data::UniformInts(200, {"k", "j", "v"}, 10, /*seed=*/94);
+  ExpectFilterAggregateMatches(
+      input, FilterPredicate::ColumnVsLiteral(2, CompareOp::kGt, 1000), 2);
+  for (const std::vector<int>& group : kGroupings) {
+    PipelineSpec spec;
+    spec.input_schema = input.schema();
+    spec.ops.push_back(
+        PipelineOp::Filter(FilterPredicate::ColumnVsLiteral(2, CompareOp::kLt, 0)));
+    spec.ops.push_back(PipelineOp::Aggregate(group, AggKind::kCount, 0, "n"));
+    EXPECT_EQ(RunPipeline(spec, input, 16).NumRows(), 0);
+  }
+}
+
+TEST(AggregateSinkTest, ExtremeValuesAndWrappingSums) {
+  // Sums wrap modulo 2^64 however the rows split into batches; min/max see the
+  // int64 extremes (the accumulators' own identity values).
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  const Relation input = MakeRelation({"k", "j", "v"}, {{0, 0, kMax},
+                                                        {0, 1, 1},
+                                                        {1, 0, kMin},
+                                                        {0, 0, kMax},
+                                                        {1, 1, -1},
+                                                        {2, 0, kMin},
+                                                        {2, 1, kMax},
+                                                        {1, 0, 5},
+                                                        {0, 1, kMax}});
+  ExpectFilterAggregateMatches(
+      input, FilterPredicate::ColumnVsLiteral(2, CompareOp::kNe, 5), 2);
+  // Pin the wrapped values themselves, not only the agreement with the
+  // kernel: each sum is the uint64 sum of its group's values.
+  PipelineSpec spec;
+  spec.input_schema = input.schema();
+  spec.ops.push_back(PipelineOp::Aggregate({0}, AggKind::kSum, 2, "s"));
+  const Relation sums = RunPipeline(spec, input, 2);
+  ASSERT_EQ(sums.NumRows(), 3);
+  const auto wrap = [](std::initializer_list<int64_t> values) {
+    uint64_t total = 0;
+    for (int64_t v : values) {
+      total += static_cast<uint64_t>(v);
+    }
+    return static_cast<int64_t>(total);
+  };
+  EXPECT_EQ(sums.At(0, 1), wrap({kMax, 1, kMax, kMax}));
+  EXPECT_EQ(sums.At(1, 1), wrap({kMin, -1, 5}));
+  EXPECT_EQ(sums.At(2, 1), -1);  // kMin + kMax.
+}
+
+TEST(AggregateSinkTest, FilterAggregateResidencyStaysWithinOneBatch) {
+  // The sink holds O(groups) accumulators, never the filtered relation: over
+  // 100k rows the only owned batches are the fused filter's output and the
+  // sink's one batch of groups, each at most a batch.
+  constexpr int64_t kRows = 100000;
+  constexpr int64_t kBatch = 512;
+  const Relation input = data::UniformInts(kRows, {"k", "v"}, 16, /*seed=*/95);
+  PipelineSpec spec;
+  spec.input_schema = input.schema();
+  spec.ops.push_back(PipelineOp::Filter(
+      FilterPredicate::ColumnVsLiteral(1, CompareOp::kGt, 3)));
+  spec.ops.push_back(PipelineOp::Aggregate({0}, AggKind::kSum, 1, "total"));
+  BatchPipeline pipeline(spec);
+  const Relation got = pipeline.Run(input, kBatch);
+  EXPECT_EQ(got.NumRows(), 16);
+  EXPECT_GT(pipeline.stats().peak_rows_resident, 0);
+  EXPECT_LE(pipeline.stats().peak_rows_resident, kBatch);
+  EXPECT_EQ(pipeline.stats().batches_pushed, (kRows + kBatch - 1) / kBatch);
+}
+
+TEST(AggregateSinkTest, RevealedAndParsedBatchesMatchBorrowedSlices) {
+  // The sink folds whatever batches reach it: revealed or parsed source
+  // batches give the same groups as borrowed slices of the source.
+  const Relation input = data::UniformInts(333, {"k", "j", "v"}, 9, /*seed=*/96);
+  Rng rng(/*seed=*/97);
+  const mpc::RevealSource reveal(ShareRelation(input, rng));
+  StatusOr<CsvSource> csv = CsvSource::FromText(ToCsv(input));
+  ASSERT_TRUE(csv.ok());
+  for (const std::vector<int>& group : kGroupings) {
+    PipelineSpec spec;
+    spec.input_schema = input.schema();
+    spec.ops.push_back(PipelineOp::Filter(
+        FilterPredicate::ColumnVsLiteral(2, CompareOp::kLe, 6)));
+    spec.ops.push_back(PipelineOp::Aggregate(group, AggKind::kMean, 2, "m"));
+    const Relation expected = RunPipeline(spec, input, 0);
+    ASSERT_GT(expected.NumRows(), 0);
+    for (int64_t batch_rows : kBatchGrid) {
+      BatchPipeline streaming(spec);
+      EXPECT_TRUE(streaming.RunFromReveal(reveal, 0, input.NumRows(), batch_rows)
+                      .RowsEqual(expected))
+          << "reveal batch_rows=" << batch_rows;
+      StatusOr<Relation> parsed =
+          streaming.RunFromCsv(*csv, 0, input.NumRows(), batch_rows);
+      ASSERT_TRUE(parsed.ok());
+      EXPECT_TRUE(parsed->RowsEqual(expected)) << "csv batch_rows=" << batch_rows;
+    }
+  }
+}
+
+TEST(AggregateSinkDeathTest, AggregateMustEndTheChain) {
+  PipelineSpec spec;
+  spec.input_schema = Schema::Of({"k", "v"});
+  spec.ops.push_back(PipelineOp::Aggregate({0}, AggKind::kSum, 1, "s"));
+  spec.ops.push_back(PipelineOp::Limit(1));
+  EXPECT_DEATH(BatchPipeline pipeline(spec), "");
 }
 
 }  // namespace

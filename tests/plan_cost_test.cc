@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "conclave/api/conclave.h"
+#include "conclave/common/check.h"
 #include "conclave/compiler/compiler.h"
 #include "conclave/compiler/ownership.h"
 #include "conclave/compiler/plan_cost.h"
@@ -601,6 +602,72 @@ TEST(PlanCostTest, SingleRowRelationsMatchMeters) {
   inputs["b"] = SequentialKeys(1, {"k", "w"});
   ExpectEstimatesMatchMeters(build, inputs, MpcBackendKind::kSharemind);
   ExpectEstimatesMatchMeters(build, inputs, MpcBackendKind::kOblivC);
+}
+
+// --- Pipeline chains ending in an aggregate -----------------------------------------
+
+// One party's filter -> aggregate, compiled; returns the placed DAG's topo order.
+std::vector<const ir::OpNode*> CompiledFilterAggregate(api::Query& query) {
+  auto alice = query.AddParty("alice");
+  query.NewTable("t", {{"k"}, {"v"}}, alice, 1000)
+      .Filter("v", CompareOp::kGt, 0)
+      .Aggregate("total", AggKind::kSum, {"k"}, "v")
+      .WriteToCsv("out", {alice});
+  CONCLAVE_CHECK(query.Compile(CompilerOptions{}).ok());
+  const std::vector<ir::OpNode*> order = query.dag().TopoOrder();
+  return {order.begin(), order.end()};
+}
+
+TEST(PipelineChainsTest, AggregateEndsAnUnshardedUnboundedChainOnly) {
+  api::Query query;
+  const std::vector<const ir::OpNode*> topo = CompiledFilterAggregate(query);
+
+  const auto chains = PipelineChains(topo, /*shard_count=*/1, /*mem_budget_rows=*/0);
+  ASSERT_EQ(chains.size(), 1u);
+  ASSERT_EQ(chains[0].size(), 2u);
+  EXPECT_EQ(chains[0][0]->kind, ir::OpKind::kFilter);
+  EXPECT_EQ(chains[0][1]->kind, ir::OpKind::kAggregate);
+  // Sharded: the exchange-based aggregate runs; under a budget, the spilling
+  // one. The filter alone is no chain.
+  EXPECT_TRUE(PipelineChains(topo, /*shard_count=*/4, 0).empty());
+  EXPECT_TRUE(PipelineChains(topo, 1, /*mem_budget_rows=*/500).empty());
+
+  // The explain mirror counts the same chains.
+  api::Query again;
+  ir::Dag& dag = again.dag();
+  CompiledFilterAggregate(again);
+  const auto advice = [&dag](int shard_count, int64_t mem_budget_rows) {
+    PlanCostReport report;
+    AnnotatePipelineAdvice(report, dag, shard_count, /*batch_rows=*/4096,
+                           mem_budget_rows);
+    return report;
+  };
+  const PlanCostReport fused = advice(1, 0);
+  EXPECT_EQ(fused.fused_pipeline_chains, 1);
+  EXPECT_EQ(fused.fused_pipeline_nodes, 2);
+  EXPECT_EQ(fused.fused_expr_groups, 1);
+  EXPECT_EQ(fused.fused_expr_nodes, 1);
+  EXPECT_EQ(advice(4, 0).fused_pipeline_chains, 0);
+  EXPECT_EQ(advice(1, 500).fused_pipeline_chains, 0);
+}
+
+TEST(PipelineChainsTest, NothingStreamsPastAnAggregate) {
+  // filter -> aggregate -> arithmetic: the aggregate ends the first chain and
+  // the arithmetic after it is a lone op, not a continuation.
+  api::Query query;
+  auto alice = query.AddParty("alice");
+  query.NewTable("t", {{"k"}, {"v"}}, alice, 1000)
+      .Filter("v", CompareOp::kGt, 0)
+      .Aggregate("total", AggKind::kSum, {"k"}, "v")
+      .MultiplyConst("doubled", "total", 2)
+      .WriteToCsv("out", {alice});
+  ASSERT_TRUE(query.Compile(CompilerOptions{}).ok());
+  const std::vector<ir::OpNode*> order = query.dag().TopoOrder();
+  const std::vector<const ir::OpNode*> topo(order.begin(), order.end());
+  const auto chains = PipelineChains(topo, 1, 0);
+  ASSERT_EQ(chains.size(), 1u);
+  ASSERT_EQ(chains[0].size(), 2u);
+  EXPECT_EQ(chains[0].back()->kind, ir::OpKind::kAggregate);
 }
 
 // --- The explain surface --------------------------------------------------------------

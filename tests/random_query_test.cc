@@ -51,6 +51,28 @@ Relation EvalReference(const ir::Dag& dag,
   return output;
 }
 
+// The grouping both generators draw for an aggregate: `choice` 0 groups by
+// `any`, 1 by `any` and the next column in schema order (just `any` when the
+// schema has one column), 2 by nothing — one global row.
+std::vector<std::string> DrawGrouping(const std::vector<std::string>& names,
+                                      const std::string& any, uint64_t choice) {
+  switch (choice) {
+    case 0:
+      return {any};
+    case 1: {
+      const size_t at = static_cast<size_t>(
+          std::find(names.begin(), names.end(), any) - names.begin());
+      const std::string& next = names[(at + 1) % names.size()];
+      if (next == any) {
+        return {any};
+      }
+      return {any, next};
+    }
+    default:
+      return {};
+  }
+}
+
 // Builds a random query; must be deterministic in `seed` so the compiled and
 // reference instances are identical.
 struct RandomQuery {
@@ -123,10 +145,10 @@ struct RandomQuery {
         }
         case 3: {
           const auto kind = static_cast<AggKind>(rng.NextBelow(5));
-          const std::string group = any;
           std::string over = names[rng.NextBelow(names.size())];
           current = current.Aggregate("agg" + std::to_string(arith_counter++), kind,
-                                      {group}, over);
+                                      DrawGrouping(names, any, rng.NextBelow(3)),
+                                      over);
           break;
         }
         case 4:
@@ -474,7 +496,7 @@ void BuildPlan(const PlanSpec& spec, BuiltPlan* built) {
         break;
       case OpSpec::kAggregate:
         current = current.Aggregate("agg" + tag, static_cast<AggKind>(op.c % 5),
-                                    {any}, other);
+                                    DrawGrouping(names, any, op.d % 3), other);
         break;
       case OpSpec::kDistinct:
         current = current.Distinct({any});
