@@ -6,12 +6,17 @@
 // A custom main runs the google-benchmark suite, then a fixed sweep of columnar-
 // kernel microbenches (column scan, filter selectivity, zero-copy share ingest)
 // whose measured seconds land in BENCH_primitives.json via bench_util.h — the
-// kernel-level record of the columnar data plane's throughput per commit.
+// kernel-level record of the columnar data plane's throughput per commit — and
+// a SIMD on/off sweep of the plain-loop ring, reduction and gather kernels
+// recorded in BENCH_primitives_ring.json.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <functional>
+#include <iterator>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "conclave/common/cpu.h"
@@ -436,6 +441,86 @@ void RunKernelSweep(const bench::BenchFilter& filter,
   }
 }
 
+// --- Plain-loop kernel A/B with a JSON record ---------------------------------------
+// The kernel families of common/cpu_loops.inc (DESIGN.md §13), each timed with
+// the SIMD knob on (the AVX2 copy) and off (the baseline copy) at 8K words
+// (kMpcGrainRows, in cache) and 1M words (out of cache). A cell is the
+// best-of-N wall seconds for 2^26 words (2^22 at small scale) pushed through
+// the kernel in n-word calls, so cells compare across sizes.
+void RunLoopKernelSweep(const bench::BenchFilter& filter) {
+  const bool small = bench::SmallScale();
+  const size_t words_per_cell = small ? size_t{1} << 22 : size_t{1} << 26;
+  const int reps = small ? 3 : 5;
+  const char* const kFamilies[] = {"add3", "beaver", "accmul",
+                                   "sum",  "min",    "gather"};
+  std::vector<std::string> columns;
+  for (const char* family : kFamilies) {
+    columns.push_back(std::string(family) + "_simd_on");
+    columns.push_back(std::string(family) + "_simd_off");
+  }
+  bench::Table table("primitives_ring: plain-loop kernels, SIMD knob on vs off "
+                     "(wall seconds per 2^26 words; 2^22 at small scale)",
+                     columns);
+  bench::WallTimer timer;
+  for (const size_t n : {size_t{8192}, size_t{1} << 20}) {
+    const auto random_words = [n](uint64_t seed) {
+      Rng rng(seed);
+      std::vector<uint64_t> v(n);
+      for (auto& x : v) {
+        x = rng.Next();
+      }
+      return v;
+    };
+    const auto a = random_words(31);
+    const auto b = random_words(32);
+    const auto c = random_words(33);
+    const auto d = random_words(34);
+    const auto e = random_words(35);
+    std::vector<uint64_t> out(n);
+    std::vector<uint64_t> acc = random_words(36);
+    const auto* values = reinterpret_cast<const int64_t*>(a.data());
+    std::vector<int64_t> rows(n);
+    Rng row_rng(37);
+    for (auto& r : rows) {
+      r = static_cast<int64_t>(row_rng.NextBelow(n));
+    }
+    std::vector<int64_t> gathered(n);
+    const std::function<void()> kernels[] = {
+        [&] { cpu::Add3U64(a.data(), b.data(), c.data(), n, out.data()); },
+        [&] {
+          cpu::BeaverCombineU64(a.data(), b.data(), c.data(), d.data(),
+                                e.data(), n, out.data());
+        },
+        [&] { cpu::AccumMulU64(d.data(), e.data(), n, acc.data()); },
+        [&] { benchmark::DoNotOptimize(cpu::SumU64(a.data(), n)); },
+        [&] { benchmark::DoNotOptimize(cpu::MinOf(values, n)); },
+        [&] { cpu::GatherI64(values, rows.data(), n, gathered.data()); },
+    };
+    const size_t calls = words_per_cell / n;
+    std::vector<bench::Cell> cells;
+    for (size_t k = 0; k < std::size(kernels); ++k) {
+      for (const bool simd : {true, false}) {
+        if (!filter.Enabled(columns[2 * k + (simd ? 0 : 1)])) {
+          cells.push_back(bench::Cell::Skip());
+          continue;
+        }
+        const cpu::ScopedSimd knob(simd);
+        cells.push_back(bench::Cell::Seconds(BestOfRuns(reps, [&] {
+          for (size_t call = 0; call < calls; ++call) {
+            kernels[k]();
+          }
+          benchmark::ClobberMemory();
+        })));
+      }
+    }
+    table.AddRow(n, std::move(cells));
+  }
+  table.Print();
+  if (filter.Empty()) {
+    table.WriteJson("primitives_ring", timer.Seconds());
+  }
+}
+
 }  // namespace
 }  // namespace conclave
 
@@ -455,5 +540,6 @@ int main(int argc, char** argv) {
   }
   benchmark::Shutdown();
   conclave::RunKernelSweep(filter, timer.Seconds());
+  conclave::RunLoopKernelSweep(filter);
   return 0;
 }

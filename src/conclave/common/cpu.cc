@@ -60,7 +60,8 @@ const char* SimdLevelName() { return UsingAvx2() ? "avx2" : "scalar"; }
 
 // --- Scalar reference kernels -----------------------------------------------
 //
-// All int64 arithmetic goes through uint64 so overflow wraps by definition
+// The fallbacks of the intrinsic kernels below, and the division rule. All
+// int64 arithmetic goes through uint64 so overflow wraps by definition
 // (identical bits to two's-complement hardware, UBSan-clean); these loops are
 // the semantics — the AVX2 variants must reproduce them bit for bit.
 
@@ -84,18 +85,6 @@ inline bool CmpScalar(Cmp op, int64_t a, int64_t b) {
   return false;
 }
 
-inline uint8_t ApplyMode(MaskMode mode, uint8_t current, uint8_t bit) {
-  switch (mode) {
-    case MaskMode::kSet:
-      return bit;
-    case MaskMode::kAnd:
-      return current & bit;
-    case MaskMode::kOr:
-      return current | bit;
-  }
-  return bit;
-}
-
 size_t SelectCompareScalar(Cmp op, const int64_t* lhs, const int64_t* rhs,
                            int64_t literal, int64_t base, size_t lo, size_t n,
                            int64_t* out, size_t count) {
@@ -113,16 +102,6 @@ size_t SelectCompareScalar(Cmp op, const int64_t* lhs, const int64_t* rhs,
     }
   }
   return count;
-}
-
-void CompareMaskScalar(Cmp op, const int64_t* lhs, const int64_t* rhs,
-                       int64_t literal, size_t lo, size_t n, MaskMode mode,
-                       uint8_t* mask) {
-  for (size_t i = lo; i < n; ++i) {
-    const uint8_t bit =
-        CmpScalar(op, lhs[i], rhs != nullptr ? rhs[i] : literal) ? 1 : 0;
-    mask[i] = ApplyMode(mode, mask[i], bit);
-  }
 }
 
 // The engine's truncating-division rule, shared verbatim by both dispatch
@@ -144,57 +123,11 @@ void DivColumnScalar(const int64_t* lhs, const int64_t* rhs, int64_t literal,
   }
 }
 
-void ArithColumnScalar(Arith op, const int64_t* lhs, const int64_t* rhs,
-                       int64_t literal, int64_t scale, size_t lo, size_t n,
-                       int64_t* out) {
-  const uint64_t ulit = static_cast<uint64_t>(literal);
-  switch (op) {
-    case Arith::kAdd:
-      if (rhs != nullptr) {
-        for (size_t i = lo; i < n; ++i) {
-          out[i] = static_cast<int64_t>(static_cast<uint64_t>(lhs[i]) +
-                                        static_cast<uint64_t>(rhs[i]));
-        }
-      } else {
-        for (size_t i = lo; i < n; ++i) {
-          out[i] = static_cast<int64_t>(static_cast<uint64_t>(lhs[i]) + ulit);
-        }
-      }
-      break;
-    case Arith::kSub:
-      if (rhs != nullptr) {
-        for (size_t i = lo; i < n; ++i) {
-          out[i] = static_cast<int64_t>(static_cast<uint64_t>(lhs[i]) -
-                                        static_cast<uint64_t>(rhs[i]));
-        }
-      } else {
-        for (size_t i = lo; i < n; ++i) {
-          out[i] = static_cast<int64_t>(static_cast<uint64_t>(lhs[i]) - ulit);
-        }
-      }
-      break;
-    case Arith::kMul:
-      if (rhs != nullptr) {
-        for (size_t i = lo; i < n; ++i) {
-          out[i] = static_cast<int64_t>(static_cast<uint64_t>(lhs[i]) *
-                                        static_cast<uint64_t>(rhs[i]));
-        }
-      } else {
-        for (size_t i = lo; i < n; ++i) {
-          out[i] = static_cast<int64_t>(static_cast<uint64_t>(lhs[i]) * ulit);
-        }
-      }
-      break;
-    case Arith::kDiv:
-      DivColumnScalar(lhs + lo, rhs != nullptr ? rhs + lo : nullptr, literal,
-                      scale, n - lo, out + lo);
-      break;
-  }
-}
-
 }  // namespace
 
-// --- AVX2 kernels -----------------------------------------------------------
+// --- AVX2 intrinsic kernels ------------------------------------------------
+//
+// Each beats the same loop compiled for AVX2; cpu.h gives the measurements.
 
 #if defined(CONCLAVE_X86)
 
@@ -223,17 +156,6 @@ __attribute__((target("avx2"))) inline int CmpMaskBits(Cmp op, __m256i a,
              0xF;
   }
   return 0;
-}
-
-// Low 64 bits of the lane-wise product via 32-bit decomposition:
-// lo(a)*lo(b) + ((lo(a)*hi(b) + hi(a)*lo(b)) << 32).
-__attribute__((target("avx2"))) inline __m256i MulLo64(__m256i a, __m256i b) {
-  const __m256i a_hi = _mm256_srli_epi64(a, 32);
-  const __m256i b_hi = _mm256_srli_epi64(b, 32);
-  const __m256i cross =
-      _mm256_add_epi64(_mm256_mul_epu32(a, b_hi), _mm256_mul_epu32(a_hi, b));
-  return _mm256_add_epi64(_mm256_mul_epu32(a, b),
-                          _mm256_slli_epi64(cross, 32));
 }
 
 __attribute__((target("avx2"))) size_t SelectCompareAvx2(
@@ -268,48 +190,6 @@ __attribute__((target("avx2"))) size_t SelectCompareAvx2(
     }
   }
   return SelectCompareScalar(op, lhs, rhs, literal, base, i, n, out, count);
-}
-
-// 4-bit lane mask -> four 0/1 bytes, as one 32-bit store.
-alignas(64) constexpr uint32_t kNibbleBytes[16] = {
-    0x00000000u, 0x00000001u, 0x00000100u, 0x00000101u, 0x00010000u,
-    0x00010001u, 0x00010100u, 0x00010101u, 0x01000000u, 0x01000001u,
-    0x01000100u, 0x01000101u, 0x01010000u, 0x01010001u, 0x01010100u,
-    0x01010101u};
-
-__attribute__((target("avx2"))) void CompareMaskAvx2(Cmp op, const int64_t* lhs,
-                                                     const int64_t* rhs,
-                                                     int64_t literal, size_t n,
-                                                     MaskMode mode,
-                                                     uint8_t* mask) {
-  const __m256i lit = _mm256_set1_epi64x(literal);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i a =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(lhs + i));
-    const __m256i b =
-        rhs != nullptr
-            ? _mm256_loadu_si256(reinterpret_cast<const __m256i*>(rhs + i))
-            : lit;
-    const uint32_t bytes = kNibbleBytes[CmpMaskBits(op, a, b)];
-    uint32_t current;
-    switch (mode) {
-      case MaskMode::kSet:
-        std::memcpy(mask + i, &bytes, 4);
-        break;
-      case MaskMode::kAnd:
-        std::memcpy(&current, mask + i, 4);
-        current &= bytes;
-        std::memcpy(mask + i, &current, 4);
-        break;
-      case MaskMode::kOr:
-        std::memcpy(&current, mask + i, 4);
-        current |= bytes;
-        std::memcpy(mask + i, &current, 4);
-        break;
-    }
-  }
-  CompareMaskScalar(op, lhs, rhs, literal, i, n, mode, mask);
 }
 
 __attribute__((target("avx2"))) size_t CountMaskAvx2(const uint8_t* mask,
@@ -356,357 +236,6 @@ __attribute__((target("avx2"))) size_t MaskToIndicesAvx2(const uint8_t* mask,
   return count;
 }
 
-__attribute__((target("avx2"))) void ArithColumnAvx2(
-    Arith op, const int64_t* lhs, const int64_t* rhs, int64_t literal,
-    int64_t scale, size_t n, int64_t* out) {
-  if (op == Arith::kDiv) {
-    DivColumnScalar(lhs, rhs, literal, scale, n, out);
-    return;
-  }
-  const __m256i lit = _mm256_set1_epi64x(literal);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i a =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(lhs + i));
-    const __m256i b =
-        rhs != nullptr
-            ? _mm256_loadu_si256(reinterpret_cast<const __m256i*>(rhs + i))
-            : lit;
-    __m256i r;
-    switch (op) {
-      case Arith::kAdd:
-        r = _mm256_add_epi64(a, b);
-        break;
-      case Arith::kSub:
-        r = _mm256_sub_epi64(a, b);
-        break;
-      default:
-        r = MulLo64(a, b);
-        break;
-    }
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), r);
-  }
-  ArithColumnScalar(op, lhs, rhs, literal, scale, i, n, out);
-}
-
-__attribute__((target("avx2"))) bool AllEqualAvx2(const int64_t* v, size_t n) {
-  const __m256i first = _mm256_set1_epi64x(v[0]);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i a =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(v + i));
-    if (_mm256_movemask_pd(
-            _mm256_castsi256_pd(_mm256_cmpeq_epi64(a, first))) != 0xF) {
-      return false;
-    }
-  }
-  for (; i < n; ++i) {
-    if (v[i] != v[0]) {
-      return false;
-    }
-  }
-  return true;
-}
-
-__attribute__((target("avx2"))) uint64_t SumU64Avx2(const uint64_t* v,
-                                                    size_t n) {
-  __m256i acc = _mm256_setzero_si256();
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    acc = _mm256_add_epi64(
-        acc, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(v + i)));
-  }
-  alignas(32) uint64_t lanes[4];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
-  // Wrap addition is associative and commutative mod 2^64, so the lane fold
-  // order cannot change the bits.
-  uint64_t sum = lanes[0] + lanes[1] + lanes[2] + lanes[3];
-  for (; i < n; ++i) {
-    sum += v[i];
-  }
-  return sum;
-}
-
-__attribute__((target("avx2"))) int64_t MinOfAvx2(const int64_t* v, size_t n) {
-  __m256i acc = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(v));
-  size_t i = 4;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i a =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(v + i));
-    acc = _mm256_blendv_epi8(acc, a, _mm256_cmpgt_epi64(acc, a));
-  }
-  alignas(32) int64_t lanes[4];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
-  int64_t best = lanes[0];
-  for (int k = 1; k < 4; ++k) {
-    best = lanes[k] < best ? lanes[k] : best;
-  }
-  for (; i < n; ++i) {
-    best = v[i] < best ? v[i] : best;
-  }
-  return best;
-}
-
-__attribute__((target("avx2"))) int64_t MaxOfAvx2(const int64_t* v, size_t n) {
-  __m256i acc = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(v));
-  size_t i = 4;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i a =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(v + i));
-    acc = _mm256_blendv_epi8(acc, a, _mm256_cmpgt_epi64(a, acc));
-  }
-  alignas(32) int64_t lanes[4];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
-  int64_t best = lanes[0];
-  for (int k = 1; k < 4; ++k) {
-    best = lanes[k] > best ? lanes[k] : best;
-  }
-  for (; i < n; ++i) {
-    best = v[i] > best ? v[i] : best;
-  }
-  return best;
-}
-
-__attribute__((target("avx2"))) void GatherI64Avx2(const int64_t* src,
-                                                   const int64_t* rows,
-                                                   size_t n, int64_t* out) {
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i idx =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(rows + i));
-    const __m256i g = _mm256_i64gather_epi64(
-        reinterpret_cast<const long long*>(src), idx, 8);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), g);
-  }
-  for (; i < n; ++i) {
-    out[i] = src[rows[i]];
-  }
-}
-
-// Elementwise uint64 kernels. The macro expands a loadu/op/storeu loop plus a
-// scalar tail; every body is pure lane-wise wrap arithmetic.
-__attribute__((target("avx2"))) void AddU64Avx2(const uint64_t* a,
-                                                const uint64_t* b, size_t n,
-                                                uint64_t* out) {
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_si256(
-        reinterpret_cast<__m256i*>(out + i),
-        _mm256_add_epi64(
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i)),
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i))));
-  }
-  for (; i < n; ++i) {
-    out[i] = a[i] + b[i];
-  }
-}
-
-__attribute__((target("avx2"))) void SubU64Avx2(const uint64_t* a,
-                                                const uint64_t* b, size_t n,
-                                                uint64_t* out) {
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_si256(
-        reinterpret_cast<__m256i*>(out + i),
-        _mm256_sub_epi64(
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i)),
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i))));
-  }
-  for (; i < n; ++i) {
-    out[i] = a[i] - b[i];
-  }
-}
-
-__attribute__((target("avx2"))) void SubSubU64Avx2(const uint64_t* a,
-                                                   const uint64_t* b,
-                                                   const uint64_t* c, size_t n,
-                                                   uint64_t* out) {
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    const __m256i vc =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(c + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i),
-                        _mm256_sub_epi64(_mm256_sub_epi64(va, vb), vc));
-  }
-  for (; i < n; ++i) {
-    out[i] = a[i] - b[i] - c[i];
-  }
-}
-
-__attribute__((target("avx2"))) void Add3U64Avx2(const uint64_t* a,
-                                                 const uint64_t* b,
-                                                 const uint64_t* c, size_t n,
-                                                 uint64_t* out) {
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    const __m256i vc =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(c + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i),
-                        _mm256_add_epi64(_mm256_add_epi64(va, vb), vc));
-  }
-  for (; i < n; ++i) {
-    out[i] = a[i] + b[i] + c[i];
-  }
-}
-
-__attribute__((target("avx2"))) void AddConstU64Avx2(const uint64_t* a,
-                                                     uint64_t k, size_t n,
-                                                     uint64_t* out) {
-  const __m256i vk = _mm256_set1_epi64x(static_cast<long long>(k));
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_si256(
-        reinterpret_cast<__m256i*>(out + i),
-        _mm256_add_epi64(
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i)), vk));
-  }
-  for (; i < n; ++i) {
-    out[i] = a[i] + k;
-  }
-}
-
-__attribute__((target("avx2"))) void MulConstU64Avx2(const uint64_t* a,
-                                                     uint64_t k, size_t n,
-                                                     uint64_t* out) {
-  const __m256i vk = _mm256_set1_epi64x(static_cast<long long>(k));
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_si256(
-        reinterpret_cast<__m256i*>(out + i),
-        MulLo64(_mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i)),
-                vk));
-  }
-  for (; i < n; ++i) {
-    out[i] = a[i] * k;
-  }
-}
-
-__attribute__((target("avx2"))) void MaskSubSubAvx2(const uint8_t* bits,
-                                                    const uint64_t* r0,
-                                                    const uint64_t* r1,
-                                                    size_t n, uint64_t* out) {
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    uint32_t four;
-    std::memcpy(&four, bits + i, 4);
-    const __m256i vb = _mm256_cvtepu8_epi64(
-        _mm_cvtsi32_si128(static_cast<int>(four)));
-    const __m256i v0 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(r0 + i));
-    const __m256i v1 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(r1 + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i),
-                        _mm256_sub_epi64(_mm256_sub_epi64(vb, v0), v1));
-  }
-  for (; i < n; ++i) {
-    out[i] = static_cast<uint64_t>(bits[i]) - r0[i] - r1[i];
-  }
-}
-
-__attribute__((target("avx2"))) void AccumDiffU64Avx2(const uint64_t* a,
-                                                      const uint64_t* t,
-                                                      size_t n, uint64_t* acc) {
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    const __m256i vt =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(t + i));
-    const __m256i vacc =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(acc + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + i),
-                        _mm256_add_epi64(vacc, _mm256_sub_epi64(va, vt)));
-  }
-  for (; i < n; ++i) {
-    acc[i] += a[i] - t[i];
-  }
-}
-
-__attribute__((target("avx2"))) void BeaverCombineU64Avx2(
-    const uint64_t* tc, const uint64_t* d, const uint64_t* tb,
-    const uint64_t* e, const uint64_t* ta, size_t n, uint64_t* out) {
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i vtc =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(tc + i));
-    const __m256i vd =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(d + i));
-    const __m256i vtb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(tb + i));
-    const __m256i ve =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(e + i));
-    const __m256i vta =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(ta + i));
-    const __m256i r = _mm256_add_epi64(
-        vtc, _mm256_add_epi64(MulLo64(vd, vtb), MulLo64(ve, vta)));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), r);
-  }
-  for (; i < n; ++i) {
-    out[i] = tc[i] + d[i] * tb[i] + e[i] * ta[i];
-  }
-}
-
-__attribute__((target("avx2"))) void AccumMulU64Avx2(const uint64_t* d,
-                                                     const uint64_t* e,
-                                                     size_t n, uint64_t* acc) {
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i vd =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(d + i));
-    const __m256i ve =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(e + i));
-    const __m256i vacc =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(acc + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + i),
-                        _mm256_add_epi64(vacc, MulLo64(vd, ve)));
-  }
-  for (; i < n; ++i) {
-    acc[i] += d[i] * e[i];
-  }
-}
-
-__attribute__((target("avx2"))) void GatherRerandCombineAvx2(
-    const uint64_t* a0, const uint64_t* a1, const uint64_t* a2,
-    const int64_t* rows, size_t n, uint64_t* o0, uint64_t* o1, uint64_t* o2) {
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i idx =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(rows + i));
-    const __m256i g0 = _mm256_i64gather_epi64(
-        reinterpret_cast<const long long*>(a0), idx, 8);
-    const __m256i g1 = _mm256_i64gather_epi64(
-        reinterpret_cast<const long long*>(a1), idx, 8);
-    const __m256i g2 = _mm256_i64gather_epi64(
-        reinterpret_cast<const long long*>(a2), idx, 8);
-    const __m256i r0 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(o0 + i));
-    const __m256i r1 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(o1 + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(o2 + i),
-                        _mm256_sub_epi64(_mm256_sub_epi64(g2, r0), r1));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(o0 + i),
-                        _mm256_add_epi64(g0, r0));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(o1 + i),
-                        _mm256_add_epi64(g1, r1));
-  }
-  for (; i < n; ++i) {
-    const size_t row = static_cast<size_t>(rows[i]);
-    const uint64_t r0 = o0[i];
-    const uint64_t r1 = o1[i];
-    o2[i] = a2[row] - r0 - r1;
-    o0[i] = a0[row] + r0;
-    o1[i] = a1[row] + r1;
-  }
-}
-
 }  // namespace
 
 #endif  // CONCLAVE_X86
@@ -721,17 +250,6 @@ size_t SelectCompare(Cmp op, const int64_t* lhs, const int64_t* rhs,
   }
 #endif
   return SelectCompareScalar(op, lhs, rhs, literal, base, 0, n, out, 0);
-}
-
-void CompareMask(Cmp op, const int64_t* lhs, const int64_t* rhs,
-                 int64_t literal, size_t n, MaskMode mode, uint8_t* mask) {
-#if defined(CONCLAVE_X86)
-  if (UsingAvx2()) {
-    CompareMaskAvx2(op, lhs, rhs, literal, n, mode, mask);
-    return;
-  }
-#endif
-  CompareMaskScalar(op, lhs, rhs, literal, 0, n, mode, mask);
 }
 
 size_t CountMask(const uint8_t* mask, size_t n) {
@@ -763,235 +281,139 @@ size_t MaskToIndices(const uint8_t* mask, size_t n, int64_t base,
   return count;
 }
 
+// --- Plain-loop kernels, compiled twice -------------------------------------
+//
+// GCC's -O2 default (the "very cheap" vector cost model) leaves these loops
+// scalar, so both copies get the dynamic cost model -O3 uses. Not
+// target_clones: with GCC 12, a -fsanitize=thread binary containing one
+// segfaults at startup (DESIGN.md §13).
+
+#pragma GCC push_options
+#pragma GCC optimize("vect-cost-model=dynamic")
+
+namespace {
+namespace baseline {
+#include "conclave/common/cpu_loops.inc"
+}  // namespace baseline
+}  // namespace
+
+#if defined(CONCLAVE_X86)
+#pragma GCC push_options
+#pragma GCC target("avx2")
+namespace {
+namespace avx2 {
+#include "conclave/common/cpu_loops.inc"
+}  // namespace avx2
+}  // namespace
+#pragma GCC pop_options
+#else
+namespace avx2 = baseline;
+#endif
+
+#pragma GCC pop_options
+
+#define CONCLAVE_CPU_DISPATCH(kernel, ...) \
+  (UsingAvx2() ? avx2::kernel(__VA_ARGS__) : baseline::kernel(__VA_ARGS__))
+
+void CompareMask(Cmp op, const int64_t* lhs, const int64_t* rhs,
+                 int64_t literal, size_t n, MaskMode mode, uint8_t* mask) {
+  CONCLAVE_CPU_DISPATCH(CompareMask, op, lhs, rhs, literal, n, mode, mask);
+}
+
+// Both pointers and the literal are reinterpreted as uint64: the same bits,
+// with defined wrap.
 void ArithColumn(Arith op, const int64_t* lhs, const int64_t* rhs,
                  int64_t literal, int64_t scale, size_t n, int64_t* out) {
-#if defined(CONCLAVE_X86)
-  if (UsingAvx2()) {
-    ArithColumnAvx2(op, lhs, rhs, literal, scale, n, out);
+  if (op == Arith::kDiv) {
+    DivColumnScalar(lhs, rhs, literal, scale, n, out);
     return;
   }
-#endif
-  ArithColumnScalar(op, lhs, rhs, literal, scale, 0, n, out);
+  const auto* a = reinterpret_cast<const uint64_t*>(lhs);
+  const auto* b = reinterpret_cast<const uint64_t*>(rhs);
+  const auto k = static_cast<uint64_t>(literal);
+  auto* o = reinterpret_cast<uint64_t*>(out);
+  CONCLAVE_CPU_DISPATCH(ArithColumn, op, a, b, k, n, o);
 }
 
 bool AllEqual(const int64_t* v, size_t n) {
-  if (n <= 1) {
-    return true;
-  }
-#if defined(CONCLAVE_X86)
-  if (UsingAvx2()) {
-    return AllEqualAvx2(v, n);
-  }
-#endif
-  for (size_t i = 1; i < n; ++i) {
-    if (v[i] != v[0]) {
-      return false;
-    }
-  }
-  return true;
+  return CONCLAVE_CPU_DISPATCH(AllEqual, v, n);
 }
 
 int64_t SumWrap(const int64_t* v, size_t n) {
   return static_cast<int64_t>(SumU64(reinterpret_cast<const uint64_t*>(v), n));
 }
 
+uint64_t SumU64(const uint64_t* v, size_t n) {
+  return CONCLAVE_CPU_DISPATCH(SumU64, v, n);
+}
+
 int64_t MinOf(const int64_t* v, size_t n) {
-#if defined(CONCLAVE_X86)
-  if (UsingAvx2() && n >= 4) {
-    return MinOfAvx2(v, n);
-  }
-#endif
-  int64_t best = v[0];
-  for (size_t i = 1; i < n; ++i) {
-    best = v[i] < best ? v[i] : best;
-  }
-  return best;
+  return CONCLAVE_CPU_DISPATCH(MinOf, v, n);
 }
 
 int64_t MaxOf(const int64_t* v, size_t n) {
-#if defined(CONCLAVE_X86)
-  if (UsingAvx2() && n >= 4) {
-    return MaxOfAvx2(v, n);
-  }
-#endif
-  int64_t best = v[0];
-  for (size_t i = 1; i < n; ++i) {
-    best = v[i] > best ? v[i] : best;
-  }
-  return best;
+  return CONCLAVE_CPU_DISPATCH(MaxOf, v, n);
 }
 
 void GatherI64(const int64_t* src, const int64_t* rows, size_t n,
                int64_t* out) {
-#if defined(CONCLAVE_X86)
-  if (UsingAvx2()) {
-    GatherI64Avx2(src, rows, n, out);
-    return;
-  }
-#endif
-  for (size_t i = 0; i < n; ++i) {
-    out[i] = src[rows[i]];
-  }
+  CONCLAVE_CPU_DISPATCH(GatherI64, src, rows, n, out);
 }
 
 void AddU64(const uint64_t* a, const uint64_t* b, size_t n, uint64_t* out) {
-#if defined(CONCLAVE_X86)
-  if (UsingAvx2()) {
-    AddU64Avx2(a, b, n, out);
-    return;
-  }
-#endif
-  for (size_t i = 0; i < n; ++i) {
-    out[i] = a[i] + b[i];
-  }
+  CONCLAVE_CPU_DISPATCH(AddU64, a, b, n, out);
 }
 
 void SubU64(const uint64_t* a, const uint64_t* b, size_t n, uint64_t* out) {
-#if defined(CONCLAVE_X86)
-  if (UsingAvx2()) {
-    SubU64Avx2(a, b, n, out);
-    return;
-  }
-#endif
-  for (size_t i = 0; i < n; ++i) {
-    out[i] = a[i] - b[i];
-  }
+  CONCLAVE_CPU_DISPATCH(SubU64, a, b, n, out);
 }
 
 void SubSubU64(const uint64_t* a, const uint64_t* b, const uint64_t* c,
                size_t n, uint64_t* out) {
-#if defined(CONCLAVE_X86)
-  if (UsingAvx2()) {
-    SubSubU64Avx2(a, b, c, n, out);
-    return;
-  }
-#endif
-  for (size_t i = 0; i < n; ++i) {
-    out[i] = a[i] - b[i] - c[i];
-  }
+  CONCLAVE_CPU_DISPATCH(SubSubU64, a, b, c, n, out);
 }
 
 void Add3U64(const uint64_t* a, const uint64_t* b, const uint64_t* c, size_t n,
              uint64_t* out) {
-#if defined(CONCLAVE_X86)
-  if (UsingAvx2()) {
-    Add3U64Avx2(a, b, c, n, out);
-    return;
-  }
-#endif
-  for (size_t i = 0; i < n; ++i) {
-    out[i] = a[i] + b[i] + c[i];
-  }
+  CONCLAVE_CPU_DISPATCH(Add3U64, a, b, c, n, out);
 }
 
 void AddConstU64(const uint64_t* a, uint64_t k, size_t n, uint64_t* out) {
-#if defined(CONCLAVE_X86)
-  if (UsingAvx2()) {
-    AddConstU64Avx2(a, k, n, out);
-    return;
-  }
-#endif
-  for (size_t i = 0; i < n; ++i) {
-    out[i] = a[i] + k;
-  }
+  CONCLAVE_CPU_DISPATCH(AddConstU64, a, k, n, out);
 }
 
 void MulConstU64(const uint64_t* a, uint64_t k, size_t n, uint64_t* out) {
-#if defined(CONCLAVE_X86)
-  if (UsingAvx2()) {
-    MulConstU64Avx2(a, k, n, out);
-    return;
-  }
-#endif
-  for (size_t i = 0; i < n; ++i) {
-    out[i] = a[i] * k;
-  }
+  CONCLAVE_CPU_DISPATCH(MulConstU64, a, k, n, out);
 }
 
 void MaskSubSub(const uint8_t* bits, const uint64_t* r0, const uint64_t* r1,
                 size_t n, uint64_t* out) {
-#if defined(CONCLAVE_X86)
-  if (UsingAvx2()) {
-    MaskSubSubAvx2(bits, r0, r1, n, out);
-    return;
-  }
-#endif
-  for (size_t i = 0; i < n; ++i) {
-    out[i] = static_cast<uint64_t>(bits[i]) - r0[i] - r1[i];
-  }
+  CONCLAVE_CPU_DISPATCH(MaskSubSub, bits, r0, r1, n, out);
 }
 
 void AccumDiffU64(const uint64_t* a, const uint64_t* t, size_t n,
                   uint64_t* acc) {
-#if defined(CONCLAVE_X86)
-  if (UsingAvx2()) {
-    AccumDiffU64Avx2(a, t, n, acc);
-    return;
-  }
-#endif
-  for (size_t i = 0; i < n; ++i) {
-    acc[i] += a[i] - t[i];
-  }
+  CONCLAVE_CPU_DISPATCH(AccumDiffU64, a, t, n, acc);
 }
 
 void BeaverCombineU64(const uint64_t* tc, const uint64_t* d, const uint64_t* tb,
                       const uint64_t* e, const uint64_t* ta, size_t n,
                       uint64_t* out) {
-#if defined(CONCLAVE_X86)
-  if (UsingAvx2()) {
-    BeaverCombineU64Avx2(tc, d, tb, e, ta, n, out);
-    return;
-  }
-#endif
-  for (size_t i = 0; i < n; ++i) {
-    out[i] = tc[i] + d[i] * tb[i] + e[i] * ta[i];
-  }
+  CONCLAVE_CPU_DISPATCH(BeaverCombineU64, tc, d, tb, e, ta, n, out);
 }
 
 void AccumMulU64(const uint64_t* d, const uint64_t* e, size_t n,
                  uint64_t* acc) {
-#if defined(CONCLAVE_X86)
-  if (UsingAvx2()) {
-    AccumMulU64Avx2(d, e, n, acc);
-    return;
-  }
-#endif
-  for (size_t i = 0; i < n; ++i) {
-    acc[i] += d[i] * e[i];
-  }
+  CONCLAVE_CPU_DISPATCH(AccumMulU64, d, e, n, acc);
 }
 
 void GatherRerandCombine(const uint64_t* a0, const uint64_t* a1,
                          const uint64_t* a2, const int64_t* rows, size_t n,
                          uint64_t* o0, uint64_t* o1, uint64_t* o2) {
-#if defined(CONCLAVE_X86)
-  if (UsingAvx2()) {
-    GatherRerandCombineAvx2(a0, a1, a2, rows, n, o0, o1, o2);
-    return;
-  }
-#endif
-  for (size_t i = 0; i < n; ++i) {
-    const size_t row = static_cast<size_t>(rows[i]);
-    const uint64_t r0 = o0[i];
-    const uint64_t r1 = o1[i];
-    o2[i] = a2[row] - r0 - r1;
-    o0[i] = a0[row] + r0;
-    o1[i] = a1[row] + r1;
-  }
+  CONCLAVE_CPU_DISPATCH(GatherRerandCombine, a0, a1, a2, rows, n, o0, o1, o2);
 }
 
-uint64_t SumU64(const uint64_t* v, size_t n) {
-#if defined(CONCLAVE_X86)
-  if (UsingAvx2()) {
-    return SumU64Avx2(v, n);
-  }
-#endif
-  uint64_t sum = 0;
-  for (size_t i = 0; i < n; ++i) {
-    sum += v[i];
-  }
-  return sum;
-}
+#undef CONCLAVE_CPU_DISPATCH
 
 // --- Fixed-key AES-128 ------------------------------------------------------
 

@@ -1,21 +1,28 @@
 // Runtime CPU dispatch for the data plane's innermost loops (DESIGN.md §13).
 //
-// Every kernel here has two implementations selected at runtime: a portable
-// scalar reference and an AVX2 (or AES-NI, for the counter randomness) variant
-// compiled with function-level target attributes — no per-file compile flags,
-// so one binary runs correctly on any x86-64 and uses the wide units when the
-// host has them. The two variants are bit-identical by construction: all
-// arithmetic is performed in uint64 (defined wrap, matching the engine's
-// two's-complement ring semantics), division follows the engine's truncating
-// rule (divisor 0 -> 0, INT64_MIN / -1 wraps to itself instead of trapping),
-// and reductions use order-independent wrap addition. The differential suite
-// (tests/simd_kernels_test.cc) pins scalar == SIMD on adversarial shapes.
+// One loop source, two compilations, plus a few intrinsics. The compare-mask,
+// arithmetic, reduction, gather and Z_2^64 ring kernels are plain loops
+// written once in cpu_loops.inc, which cpu.cc compiles for the baseline ISA
+// and, on x86, for AVX2 (`#pragma GCC target`); each call picks a copy, so one
+// portable binary uses the wide units when the host has them. Hand-written
+// AVX2 stays only where it beats the compiled loop, i.e. index compaction and
+// popcount: SelectCompare (the loop is 1.5-2.3x slower at 1-50%
+// selectivity), MaskToIndices (12-37x) and CountMask (psadbw; 13x). AES-NI
+// drives the counter randomness.
+//
+// Every path is bit-identical: arithmetic is uint64 (defined wrap, the
+// engine's two's-complement ring semantics), division follows the engine's
+// truncating rule (divisor 0 -> 0, INT64_MIN / -1 wraps to itself instead of
+// trapping), and reductions use order-independent wrap addition.
+// tests/simd_kernels_test.cc checks both dispatch settings against each other
+// and against per-element expectations.
 //
 // Dispatch is hardware capability AND the CONCLAVE_SIMD knob: CONCLAVE_SIMD=0
-// (or "off"/"false", or SetSimdEnabled(false)) forces the scalar paths even on
-// AVX2 hardware, which is how CI proves the fallback and how the differential
-// fuzzer runs its simd {on,off} axis. The knob never changes results, only
-// which instructions compute them.
+// (or "off"/"false", or SetSimdEnabled(false)) selects the baseline copies and
+// the intrinsics' scalar fallbacks even on AVX2 hardware, which is how CI
+// proves the fallback and how the differential fuzzers run their simd
+// {on,off} axis. The knob never changes results, only which instructions
+// compute them.
 //
 // Layering: common/ must not see relational/ types, so the compare/arith kinds
 // are mirrored here as cpu::Cmp / cpu::Arith; ops.cc static_asserts that the
@@ -45,7 +52,7 @@ void SetSimdEnabled(bool enabled);
 inline bool UsingAvx2() { return SimdEnabled() && HardwareAvx2(); }
 inline bool UsingAesNi() { return SimdEnabled() && HardwareAes(); }
 
-// "avx2" or "scalar" — for bench labels and logs.
+// "avx2" or "scalar" (the baseline copies) — for bench labels and logs.
 const char* SimdLevelName();
 
 // RAII knob override for tests and A/B benches.
@@ -116,12 +123,15 @@ int64_t MaxOf(const int64_t* v, size_t n);
 
 // --- Gather -----------------------------------------------------------------
 
-// out[i] = src[rows[i]] — the filter-materialization inner loop.
+// out[i] = src[rows[i]] — the filter-materialization inner loop. out must not
+// overlap src or rows.
 void GatherI64(const int64_t* src, const int64_t* rows, size_t n, int64_t* out);
 
 // --- Ring (uint64, Z_2^64) kernels for the share data plane -----------------
+//
+// Elementwise: out (or acc) may alias an input exactly, never partially.
 
-// out[i] = a[i] + b[i] (mod 2^64). In-place allowed.
+// out[i] = a[i] + b[i] (mod 2^64).
 void AddU64(const uint64_t* a, const uint64_t* b, size_t n, uint64_t* out);
 // out[i] = a[i] - b[i].
 void SubU64(const uint64_t* a, const uint64_t* b, size_t n, uint64_t* out);
@@ -149,7 +159,7 @@ void BeaverCombineU64(const uint64_t* tc, const uint64_t* d, const uint64_t* tb,
 void AccumMulU64(const uint64_t* d, const uint64_t* e, size_t n, uint64_t* acc);
 // Fused gather + re-randomize combine. o0/o1 arrive pre-filled with the fresh
 // mask words r0/r1; on return o0[i] = a0[rows[i]] + r0, o1[i] = a1[rows[i]] +
-// r1, o2[i] = a2[rows[i]] - r0 - r1.
+// r1, o2[i] = a2[rows[i]] - r0 - r1. The outputs overlap nothing.
 void GatherRerandCombine(const uint64_t* a0, const uint64_t* a1,
                          const uint64_t* a2, const int64_t* rows, size_t n,
                          uint64_t* o0, uint64_t* o1, uint64_t* o2);

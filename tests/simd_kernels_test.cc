@@ -1,17 +1,24 @@
 // Differential suite for the runtime-dispatched kernels (common/cpu.{h,cc}).
 //
 // Every kernel runs twice on the same adversarial inputs — once with the SIMD
-// knob off (scalar reference) and once with it on (AVX2/AES-NI when the host
-// has them) — and the outputs must match bit for bit. Shapes deliberately
-// include 0/1-row columns, tails of every residue mod the vector width, and
-// INT64_MIN/INT64_MAX wrap cases. The AES section additionally pins the block
-// cipher to the FIPS-197 vector and the AesCounterRng stream to golden words
-// so the (seed, stream, index) pure-function contract is machine-checked, not
-// just self-consistent.
+// knob off (baseline copy / scalar fallback) and once with it on (AVX2/AES-NI
+// when the host has them) — and the outputs must match bit for bit. The
+// plain-loop kernels of cpu_loops.inc compile both settings from one source,
+// so "off == on" cannot catch a mistake in that source: their tests also
+// check each setting against per-element expectations written here. Shapes
+// deliberately include 0/1-row columns, tails of every residue mod the vector
+// width, the MPC grain (8191/8192/8193 rows), base pointers offset by 1-3
+// elements, exact in-place aliasing, and INT64_MIN/INT64_MAX wrap cases —
+// what the compiler's loop peeling and alias versioning reach. The AES section
+// additionally pins the block cipher to the FIPS-197 vector and the
+// AesCounterRng stream to golden words so the (seed, stream, index)
+// pure-function contract is machine-checked, not just self-consistent.
 
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <map>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -31,9 +38,14 @@ constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
 constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
 
 // Lengths covering every tail residue of the 4-lane i64 and 32-byte mask
-// widths, plus empty and single.
-const size_t kLengths[] = {0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17,
-                           31, 32, 33, 63, 64, 65, 100, 255, 256, 257, 1000};
+// widths, plus empty and single, plus either side of kMpcGrainRows (8192).
+const size_t kLengths[] = {0,  1,  2,  3,  4,   5,   7,   8,   9,    15,
+                           16, 17, 31, 32, 33,  63,  64,  65,  100,  255,
+                           256, 257, 1000, 8191, 8192, 8193};
+
+// Base-pointer offsets (elements) for the plain-loop kernels' inputs and
+// outputs: every misalignment the vectorizer's peeling has to handle.
+const size_t kOffsets[] = {0, 1, 2, 3};
 
 std::vector<int64_t> AdversarialColumn(size_t n, uint64_t salt) {
   std::vector<int64_t> v(n);
@@ -112,34 +124,60 @@ TEST(SimdKernels, SelectCompareMatchesScalar) {
   }
 }
 
-TEST(SimdKernels, CompareMaskAllModesMatchScalar) {
-  if (!cpu::HardwareAvx2()) {
-    GTEST_SKIP() << "no AVX2 hardware";
+bool ExpectedCmp(Cmp op, int64_t a, int64_t b) {
+  switch (op) {
+    case Cmp::kEq:
+      return a == b;
+    case Cmp::kNe:
+      return a != b;
+    case Cmp::kLt:
+      return a < b;
+    case Cmp::kLe:
+      return a <= b;
+    case Cmp::kGt:
+      return a > b;
+    case Cmp::kGe:
+      return a >= b;
   }
+  return false;
+}
+
+TEST(SimdKernels, CompareMaskAllModesMatchScalar) {
   const MaskMode kModes[] = {MaskMode::kSet, MaskMode::kAnd, MaskMode::kOr};
   for (size_t n : kLengths) {
-    const auto lhs = AdversarialColumn(n, 3);
-    const auto rhs = AdversarialColumn(n, 4);
-    for (Cmp op : kCmps) {
-      for (MaskMode mode : kModes) {
-        // Seed the mask with an alternating 0/1 pattern so kAnd/kOr have
-        // something to combine with.
-        std::vector<uint8_t> want(n);
-        std::vector<uint8_t> got(n);
-        for (size_t i = 0; i < n; ++i) {
-          want[i] = got[i] = static_cast<uint8_t>(i & 1);
+    for (size_t off : kOffsets) {
+      const auto lhs_buf = AdversarialColumn(n + off, 3);
+      const auto rhs_buf = AdversarialColumn(n + off, 4);
+      const int64_t* lhs = lhs_buf.data() + off;
+      for (Cmp op : kCmps) {
+        for (int with_rhs = 0; with_rhs < 2; ++with_rhs) {
+          const int64_t* rp = with_rhs ? rhs_buf.data() + off : nullptr;
+          for (MaskMode mode : kModes) {
+            // Seed the mask with an alternating 0/1 pattern so kAnd/kOr have
+            // something to combine with.
+            std::vector<uint8_t> seed(n + off);
+            std::vector<uint8_t> want(n);
+            for (size_t i = 0; i < n; ++i) {
+              seed[off + i] = static_cast<uint8_t>(i & 1);
+              const bool bit = ExpectedCmp(op, lhs[i], rp ? rp[i] : -1);
+              want[i] = static_cast<uint8_t>(
+                  mode == MaskMode::kSet   ? bit
+                  : mode == MaskMode::kAnd ? (seed[off + i] != 0 && bit)
+                                           : (seed[off + i] != 0 || bit));
+            }
+            for (bool simd : {false, true}) {
+              ScopedSimd guard(simd);
+              std::vector<uint8_t> got = seed;
+              cpu::CompareMask(op, lhs, rp, -1, n, mode, got.data() + off);
+              got.erase(got.begin(),
+                        got.begin() + static_cast<std::ptrdiff_t>(off));
+              ASSERT_EQ(want, got)
+                  << "op=" << static_cast<int>(op)
+                  << " mode=" << static_cast<int>(mode) << " n=" << n
+                  << " off=" << off << " rhs=" << with_rhs << " simd=" << simd;
+            }
+          }
         }
-        {
-          ScopedSimd off(false);
-          cpu::CompareMask(op, lhs.data(), rhs.data(), 0, n, mode, want.data());
-        }
-        {
-          ScopedSimd on(true);
-          cpu::CompareMask(op, lhs.data(), rhs.data(), 0, n, mode, got.data());
-        }
-        ASSERT_EQ(want, got) << "op=" << static_cast<int>(op)
-                             << " mode=" << static_cast<int>(mode)
-                             << " n=" << n;
       }
     }
   }
@@ -176,30 +214,58 @@ TEST(SimdKernels, CountMaskAndMaskToIndicesMatchScalar) {
   }
 }
 
-TEST(SimdKernels, ArithColumnMatchesScalarIncludingWrapAndDiv) {
-  if (!cpu::HardwareAvx2()) {
-    GTEST_SKIP() << "no AVX2 hardware";
+// The engine's column arithmetic, one element at a time.
+int64_t ExpectedArith(Arith op, int64_t lhs, int64_t rhs, int64_t scale) {
+  const auto a = static_cast<uint64_t>(lhs);
+  const auto b = static_cast<uint64_t>(rhs);
+  switch (op) {
+    case Arith::kAdd:
+      return static_cast<int64_t>(a + b);
+    case Arith::kSub:
+      return static_cast<int64_t>(a - b);
+    case Arith::kMul:
+      return static_cast<int64_t>(a * b);
+    case Arith::kDiv:
+      break;
   }
+  if (rhs == 0) {
+    return 0;
+  }
+  const uint64_t prod = a * static_cast<uint64_t>(scale);
+  return rhs == -1 ? static_cast<int64_t>(uint64_t{0} - prod)
+                   : static_cast<int64_t>(prod) / rhs;
+}
+
+TEST(SimdKernels, ArithColumnMatchesScalarIncludingWrapAndDiv) {
   for (size_t n : kLengths) {
-    const auto lhs = AdversarialColumn(n, 5);
-    const auto rhs = AdversarialColumn(n, 6);
-    for (Arith op : kAriths) {
-      for (int with_rhs = 0; with_rhs < 2; ++with_rhs) {
-        const int64_t* rp = with_rhs ? rhs.data() : nullptr;
-        // Literal -1 plus scale 1000 exercises the INT64_MIN / -1 rule and
-        // product wrap in the same sweep.
-        std::vector<int64_t> want(n, 42);
-        std::vector<int64_t> got(n, 42);
-        {
-          ScopedSimd off(false);
-          cpu::ArithColumn(op, lhs.data(), rp, -1, 1000, n, want.data());
+    for (size_t off : kOffsets) {
+      const auto lhs_buf = AdversarialColumn(n + off, 5);
+      const auto rhs_buf = AdversarialColumn(n + off, 6);
+      const int64_t* lhs = lhs_buf.data() + off;
+      for (Arith op : kAriths) {
+        for (int with_rhs = 0; with_rhs < 2; ++with_rhs) {
+          const int64_t* rp = with_rhs ? rhs_buf.data() + off : nullptr;
+          // Literal -1 plus scale 1000 exercises the INT64_MIN / -1 rule and
+          // product wrap in the same sweep.
+          std::vector<int64_t> want(n);
+          for (size_t i = 0; i < n; ++i) {
+            want[i] = ExpectedArith(op, lhs[i], rp ? rp[i] : -1, 1000);
+          }
+          for (bool simd : {false, true}) {
+            for (bool in_place : {false, true}) {
+              ScopedSimd guard(simd);
+              // In place: out == lhs, on a copy of the input.
+              std::vector<int64_t> out_buf =
+                  in_place ? lhs_buf : std::vector<int64_t>(n + off, 42);
+              int64_t* out = out_buf.data() + off;
+              cpu::ArithColumn(op, in_place ? out : lhs, rp, -1, 1000, n, out);
+              ASSERT_EQ(want, std::vector<int64_t>(out, out + n))
+                  << "op=" << static_cast<int>(op) << " n=" << n
+                  << " off=" << off << " rhs=" << with_rhs << " simd=" << simd
+                  << " in_place=" << in_place;
+            }
+          }
         }
-        {
-          ScopedSimd on(true);
-          cpu::ArithColumn(op, lhs.data(), rp, -1, 1000, n, got.data());
-        }
-        ASSERT_EQ(want, got) << "op=" << static_cast<int>(op) << " n=" << n
-                             << " rhs=" << with_rhs;
       }
     }
   }
@@ -222,138 +288,180 @@ TEST(SimdKernels, DivisionRuleEdgeCases) {
 }
 
 TEST(SimdKernels, ReductionsMatchScalar) {
-  if (!cpu::HardwareAvx2()) {
-    GTEST_SKIP() << "no AVX2 hardware";
-  }
+  // AllEqual on an equal column with one differing row, placed at the first
+  // row, the last row, and either side of every 64-row chunk edge; the
+  // flipped bit walks all 64 bit positions.
+  constexpr int64_t kValue = 0x5555aaaa3333ccccLL;
   for (size_t n : kLengths) {
     if (n == 0) {
       continue;  // Min/Max require n > 0.
     }
-    const auto v = AdversarialColumn(n, 7);
-    int64_t want_sum, got_sum, want_min, got_min, want_max, got_max;
-    bool want_eq, got_eq;
-    {
-      ScopedSimd off(false);
-      want_sum = cpu::SumWrap(v.data(), n);
-      want_min = cpu::MinOf(v.data(), n);
-      want_max = cpu::MaxOf(v.data(), n);
-      want_eq = cpu::AllEqual(v.data(), n);
+    std::vector<size_t> mismatches = {0, n - 1};
+    for (size_t edge = 64; edge < n; edge += 64) {
+      mismatches.push_back(edge - 1);
+      mismatches.push_back(edge);
     }
-    {
-      ScopedSimd on(true);
-      got_sum = cpu::SumWrap(v.data(), n);
-      got_min = cpu::MinOf(v.data(), n);
-      got_max = cpu::MaxOf(v.data(), n);
-      got_eq = cpu::AllEqual(v.data(), n);
-    }
-    EXPECT_EQ(want_sum, got_sum) << "n=" << n;
-    EXPECT_EQ(want_min, got_min) << "n=" << n;
-    EXPECT_EQ(want_max, got_max) << "n=" << n;
-    EXPECT_EQ(want_eq, got_eq) << "n=" << n;
-
-    // AllEqual positive case (the adversarial column is almost never equal).
-    std::vector<int64_t> same(n, kMin);
-    for (bool simd : {false, true}) {
-      ScopedSimd guard(simd);
-      EXPECT_TRUE(cpu::AllEqual(same.data(), n)) << "n=" << n;
+    for (size_t off : kOffsets) {
+      const auto buf = AdversarialColumn(n + off, 7);
+      const int64_t* v = buf.data() + off;
+      uint64_t want_sum = 0;
+      int64_t want_min = v[0];
+      int64_t want_max = v[0];
+      bool want_eq = true;
+      for (size_t i = 0; i < n; ++i) {
+        want_sum += static_cast<uint64_t>(v[i]);
+        want_min = v[i] < want_min ? v[i] : want_min;
+        want_max = v[i] > want_max ? v[i] : want_max;
+        want_eq = want_eq && v[i] == v[0];
+      }
+      std::vector<int64_t> same_buf(n + off, kValue);
+      int64_t* same = same_buf.data() + off;
+      for (bool simd : {false, true}) {
+        ScopedSimd guard(simd);
+        EXPECT_EQ(static_cast<int64_t>(want_sum), cpu::SumWrap(v, n))
+            << "n=" << n << " off=" << off << " simd=" << simd;
+        EXPECT_EQ(want_sum,
+                  cpu::SumU64(reinterpret_cast<const uint64_t*>(v), n))
+            << "n=" << n << " off=" << off << " simd=" << simd;
+        EXPECT_EQ(want_min, cpu::MinOf(v, n))
+            << "n=" << n << " off=" << off << " simd=" << simd;
+        EXPECT_EQ(want_max, cpu::MaxOf(v, n))
+            << "n=" << n << " off=" << off << " simd=" << simd;
+        EXPECT_EQ(want_eq, cpu::AllEqual(v, n))
+            << "n=" << n << " off=" << off << " simd=" << simd;
+        EXPECT_TRUE(cpu::AllEqual(same, n))
+            << "n=" << n << " off=" << off << " simd=" << simd;
+        for (size_t pos : n < 2 ? std::vector<size_t>{} : mismatches) {
+          same[pos] = static_cast<int64_t>(static_cast<uint64_t>(kValue) ^
+                                           (uint64_t{1} << (pos % 64)));
+          EXPECT_FALSE(cpu::AllEqual(same, n))
+              << "n=" << n << " off=" << off << " mismatch at " << pos
+              << " simd=" << simd;
+          same[pos] = kValue;
+        }
+      }
     }
   }
 }
 
 TEST(SimdKernels, GatherMatchesScalar) {
-  if (!cpu::HardwareAvx2()) {
-    GTEST_SKIP() << "no AVX2 hardware";
-  }
-  const auto src = AdversarialColumn(512, 8);
+  const auto src_buf = AdversarialColumn(512 + 3, 8);
   for (size_t n : kLengths) {
-    std::vector<int64_t> rows(n);
-    Rng rng(0x90 + n);
-    for (auto& r : rows) {
-      r = static_cast<int64_t>(rng.NextBelow(src.size()));
+    for (size_t off : kOffsets) {
+      const int64_t* src = src_buf.data() + off;
+      std::vector<int64_t> rows_buf(n + off);
+      int64_t* rows = rows_buf.data() + off;
+      Rng rng(0x90 + n);
+      for (size_t i = 0; i < n; ++i) {
+        rows[i] = static_cast<int64_t>(rng.NextBelow(512));
+      }
+      std::vector<int64_t> want(n);
+      for (size_t i = 0; i < n; ++i) {
+        want[i] = src[rows[i]];
+      }
+      for (bool simd : {false, true}) {
+        ScopedSimd guard(simd);
+        std::vector<int64_t> out_buf(n + off, -5);
+        cpu::GatherI64(src, rows, n, out_buf.data() + off);
+        ASSERT_EQ(want, std::vector<int64_t>(out_buf.begin() + off,
+                                             out_buf.end()))
+            << "n=" << n << " off=" << off << " simd=" << simd;
+      }
     }
-    std::vector<int64_t> want(n), got(n);
-    {
-      ScopedSimd off(false);
-      cpu::GatherI64(src.data(), rows.data(), n, want.data());
-    }
-    {
-      ScopedSimd on(true);
-      cpu::GatherI64(src.data(), rows.data(), n, got.data());
-    }
-    ASSERT_EQ(want, got) << "n=" << n;
   }
 }
 
 TEST(SimdKernels, RingKernelsMatchScalar) {
-  if (!cpu::HardwareAvx2()) {
-    GTEST_SKIP() << "no AVX2 hardware";
-  }
   for (size_t n : kLengths) {
-    const auto a = RandomU64(n, 1);
-    const auto b = RandomU64(n, 2);
-    const auto c = RandomU64(n, 3);
-    const auto d = RandomU64(n, 4);
-    const auto e = RandomU64(n, 5);
-    std::vector<uint8_t> bits(n);
-    std::vector<int64_t> rows(n);
-    Rng rng(0x77 + n);
-    for (size_t i = 0; i < n; ++i) {
-      bits[i] = static_cast<uint8_t>(rng.NextBool() ? 1 : 0);
-      rows[i] = n == 0 ? 0 : static_cast<int64_t>(rng.NextBelow(n));
+    for (size_t off : kOffsets) {
+      // Inputs and outputs all start `off` elements into their buffers.
+      const auto a_buf = RandomU64(n + off, 1);
+      const auto b_buf = RandomU64(n + off, 2);
+      const auto c_buf = RandomU64(n + off, 3);
+      const auto d_buf = RandomU64(n + off, 4);
+      const auto e_buf = RandomU64(n + off, 5);
+      const uint64_t* a = a_buf.data() + off;
+      const uint64_t* b = b_buf.data() + off;
+      const uint64_t* c = c_buf.data() + off;
+      const uint64_t* d = d_buf.data() + off;
+      const uint64_t* e = e_buf.data() + off;
+      std::vector<uint8_t> bits_buf(n + off);
+      std::vector<int64_t> rows(n);
+      Rng rng(0x77 + n);
+      for (size_t i = 0; i < n; ++i) {
+        bits_buf[off + i] = static_cast<uint8_t>(rng.NextBool() ? 1 : 0);
+        rows[i] = static_cast<int64_t>(rng.NextBelow(n));
+      }
+      const uint8_t* bits = bits_buf.data() + off;
+      constexpr uint64_t kAdd = 0x9e3779b97f4a7c15ULL;
+      constexpr uint64_t kMul = 0xdeadbeefcafef00dULL;
+
+      using Outs = std::map<std::string, std::vector<uint64_t>>;
+      Outs want;
+      for (size_t i = 0; i < n; ++i) {
+        want["add"].push_back(a[i] + b[i]);
+        want["add_in_place"].push_back(a[i] + b[i]);
+        want["sub"].push_back(a[i] - b[i]);
+        want["subsub"].push_back(a[i] - b[i] - c[i]);
+        want["add3"].push_back(a[i] + b[i] + c[i]);
+        want["addc"].push_back(a[i] + kAdd);
+        want["mulc"].push_back(a[i] * kMul);
+        want["masksub"].push_back(uint64_t{bits[i]} - a[i] - b[i]);
+        want["accdiff"].push_back(c[i] + (a[i] - b[i]));
+        want["accdiff_acc_is_a"].push_back(a[i] + (a[i] - b[i]));
+        want["beaver"].push_back(a[i] + b[i] * c[i] + d[i] * e[i]);
+        want["accmul"].push_back(c[i] + a[i] * b[i]);
+        want["accmul_acc_is_d"].push_back(a[i] + a[i] * b[i]);
+        const size_t row = static_cast<size_t>(rows[i]);
+        want["g0"].push_back(a[row] + d[i]);
+        want["g1"].push_back(b[row] + e[i]);
+        want["g2"].push_back(c[row] - d[i] - e[i]);
+      }
+      uint64_t want_sum = 0;
+      for (size_t i = 0; i < n; ++i) {
+        want_sum += a[i];
+      }
+
+      for (bool simd : {false, true}) {
+        ScopedSimd guard(simd);
+        Outs got;
+        // An output buffer offset like the inputs, optionally seeded with a
+        // copy of one (for accumulators and in-place calls).
+        const auto out = [&](const char* name,
+                             const std::vector<uint64_t>* seed = nullptr) {
+          std::vector<uint64_t>& v = got[name];
+          v = seed != nullptr ? *seed : std::vector<uint64_t>(n + off, 99);
+          return v.data() + off;
+        };
+        cpu::AddU64(a, b, n, out("add"));
+        uint64_t* in_place = out("add_in_place", &a_buf);
+        cpu::AddU64(in_place, b, n, in_place);
+        cpu::SubU64(a, b, n, out("sub"));
+        cpu::SubSubU64(a, b, c, n, out("subsub"));
+        cpu::Add3U64(a, b, c, n, out("add3"));
+        cpu::AddConstU64(a, kAdd, n, out("addc"));
+        cpu::MulConstU64(a, kMul, n, out("mulc"));
+        cpu::MaskSubSub(bits, a, b, n, out("masksub"));
+        cpu::AccumDiffU64(a, b, n, out("accdiff", &c_buf));
+        uint64_t* acc_a = out("accdiff_acc_is_a", &a_buf);
+        cpu::AccumDiffU64(acc_a, b, n, acc_a);
+        cpu::BeaverCombineU64(a, b, c, d, e, n, out("beaver"));
+        cpu::AccumMulU64(a, b, n, out("accmul", &c_buf));
+        uint64_t* acc_d = out("accmul_acc_is_d", &a_buf);
+        cpu::AccumMulU64(acc_d, b, n, acc_d);
+        // o0/o1 arrive pre-filled with the mask words r0 = d, r1 = e.
+        uint64_t* g0 = out("g0", &d_buf);
+        uint64_t* g1 = out("g1", &e_buf);
+        cpu::GatherRerandCombine(a, b, c, rows.data(), n, g0, g1, out("g2"));
+        for (auto& [name, v] : got) {
+          v.erase(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(off));
+          ASSERT_EQ(want[name], v) << name << " n=" << n << " off=" << off
+                                   << " simd=" << simd;
+        }
+        ASSERT_EQ(want_sum, cpu::SumU64(a, n))
+            << "n=" << n << " off=" << off << " simd=" << simd;
+      }
     }
-    struct Outs {
-      std::vector<uint64_t> add, sub, subsub, add3, addc, mulc, masksub,
-          accdiff, beaver, accmul, g0, g1, g2;
-      uint64_t sum;
-    };
-    auto run = [&](bool simd) {
-      ScopedSimd guard(simd);
-      Outs o;
-      o.add.resize(n);
-      cpu::AddU64(a.data(), b.data(), n, o.add.data());
-      o.sub.resize(n);
-      cpu::SubU64(a.data(), b.data(), n, o.sub.data());
-      o.subsub.resize(n);
-      cpu::SubSubU64(a.data(), b.data(), c.data(), n, o.subsub.data());
-      o.add3.resize(n);
-      cpu::Add3U64(a.data(), b.data(), c.data(), n, o.add3.data());
-      o.addc.resize(n);
-      cpu::AddConstU64(a.data(), 0x9e3779b97f4a7c15ULL, n, o.addc.data());
-      o.mulc.resize(n);
-      cpu::MulConstU64(a.data(), 0xdeadbeefcafef00dULL, n, o.mulc.data());
-      o.masksub.resize(n);
-      cpu::MaskSubSub(bits.data(), a.data(), b.data(), n, o.masksub.data());
-      o.accdiff = c;
-      cpu::AccumDiffU64(a.data(), b.data(), n, o.accdiff.data());
-      o.beaver.resize(n);
-      cpu::BeaverCombineU64(a.data(), b.data(), c.data(), d.data(), e.data(),
-                            n, o.beaver.data());
-      o.accmul = c;
-      cpu::AccumMulU64(a.data(), b.data(), n, o.accmul.data());
-      o.g0 = d;  // pre-filled r0
-      o.g1 = e;  // pre-filled r1
-      o.g2.resize(n);
-      cpu::GatherRerandCombine(a.data(), b.data(), c.data(), rows.data(), n,
-                               o.g0.data(), o.g1.data(), o.g2.data());
-      o.sum = cpu::SumU64(a.data(), n);
-      return o;
-    };
-    const Outs want = run(false);
-    const Outs got = run(true);
-    ASSERT_EQ(want.add, got.add) << "n=" << n;
-    ASSERT_EQ(want.sub, got.sub) << "n=" << n;
-    ASSERT_EQ(want.subsub, got.subsub) << "n=" << n;
-    ASSERT_EQ(want.add3, got.add3) << "n=" << n;
-    ASSERT_EQ(want.addc, got.addc) << "n=" << n;
-    ASSERT_EQ(want.mulc, got.mulc) << "n=" << n;
-    ASSERT_EQ(want.masksub, got.masksub) << "n=" << n;
-    ASSERT_EQ(want.accdiff, got.accdiff) << "n=" << n;
-    ASSERT_EQ(want.beaver, got.beaver) << "n=" << n;
-    ASSERT_EQ(want.accmul, got.accmul) << "n=" << n;
-    ASSERT_EQ(want.g0, got.g0) << "n=" << n;
-    ASSERT_EQ(want.g1, got.g1) << "n=" << n;
-    ASSERT_EQ(want.g2, got.g2) << "n=" << n;
-    ASSERT_EQ(want.sum, got.sum) << "n=" << n;
   }
 }
 
